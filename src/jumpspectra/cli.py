@@ -192,14 +192,9 @@ def _cmd_predict(args) -> int:
 
 def _cmd_zeta(args) -> int:
     kind = args.kind
-    if kind == "zeta":
-        ev = hurwitz_zeta(args.s, args.a)
-        print(json.dumps({"kind": kind, "s": ev.s, "a": ev.a, "value": ev.value,
-                          "abs_error_bound": ev.abs_error_bound}))
-    elif kind == "j":
-        ev = lerch_j(args.s, args.a)
-        print(json.dumps({"kind": kind, "s": ev.s, "a": ev.a, "value": ev.value,
-                          "abs_error_bound": ev.abs_error_bound}))
+    if kind in ("zeta", "j"):
+        ev = (hurwitz_zeta if kind == "zeta" else lerch_j)(args.s, args.a)
+        print(json.dumps({"kind": kind, "s": ev.s, "a": ev.a, "value": ev.value}))
     elif kind == "g":
         print(json.dumps({"kind": kind, "x": args.x, "value": g_lagrange(args.x)}))
     else:

@@ -43,6 +43,7 @@ from .density import (
 from .lagrange import ChebyshevGrid, lagrange_at_jump, sigma_lagrange
 from .piecewise import JumpFunction, pure_step
 from .shepard import ShepardConfig, shepard_at_jump, sigma_shepard, step_sweep
+from .specfun import SHEPARD_S_MAX, SHEPARD_S_MIN
 from .theory import (
     Irrational,
     PredictedSpectrum,
@@ -108,8 +109,10 @@ class ExperimentConfig:
                 raise ConfigError("location: angle ratio approx must lie in (0, 1)")
             if self.operator == SHEPARD and not 0.0 < approx < 1.0:
                 raise ConfigError("location: abscissa approx must lie in (0, 1)")
-        if self.operator == SHEPARD and not 1.0 <= self.s <= 20.0:
-            raise ConfigError("s: exponent must lie in [1, 20]")
+        if self.operator == SHEPARD and not SHEPARD_S_MIN <= self.s <= SHEPARD_S_MAX:
+            raise ConfigError(
+                f"s: exponent must lie in [{SHEPARD_S_MIN:g}, {SHEPARD_S_MAX:g}]"
+            )
         if self.n_max < 64:
             raise ConfigError("n_max: must be >= 64")
         if self.stride < 1:

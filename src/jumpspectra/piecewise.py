@@ -37,10 +37,6 @@ LAGRANGE_CONVENTION = "lagrange"
 SHEPARD_CONVENTION = "shepard"
 
 
-def _loc_float(x) -> float:
-    return float(x)
-
-
 @dataclass(frozen=True)
 class StepSpec:
     """Canonical unit step with point value d at x0.
@@ -58,12 +54,12 @@ class StepSpec:
         if self.orientation not in (LEFT0_RIGHT1, LEFT1_RIGHT0):
             raise ValueError(f"unknown orientation {self.orientation!r}")
         lo, hi = self.domain
-        if not lo < _loc_float(self.x0) < hi:
+        if not lo < float(self.x0) < hi:
             raise ValueError("step location must be interior to the domain")
 
     def eval_many(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
-        x0 = _loc_float(self.x0)
+        x0 = float(self.x0)
         if self.orientation == LEFT0_RIGHT1:
             out = np.where(xs > x0, 1.0, 0.0)
         else:
@@ -92,7 +88,7 @@ class JumpSpec:
 
     @property
     def x_float(self) -> float:
-        return _loc_float(self.x)
+        return float(self.x)
 
     def step_coefficient(self, convention: str) -> float:
         """Signed jump amount under the given operator convention."""
@@ -259,11 +255,11 @@ def from_steps(base: ContinuousPart, steps, domain) -> JumpFunction:
     so the result is consistent by construction.
     """
     domain = (float(domain[0]), float(domain[1]))
-    ordered = sorted(steps, key=lambda t: _loc_float(t[0]))
+    ordered = sorted(steps, key=lambda t: float(t[0]))
     jumps = []
     acc = 0.0
     for x, amount, value in ordered:
-        left = base(_loc_float(x)) + acc
+        left = base(float(x)) + acc
         jumps.append(JumpSpec(x=x, left=left, right=left + amount, value=float(value)))
         acc += amount
     return JumpFunction(base=base, jumps=tuple(jumps), domain=domain)

@@ -1,6 +1,6 @@
 """Independent brute-force oracles used to freeze or cross-check expected
-values.  These deliberately avoid the library's Euler-Maclaurin / plateau
-machinery: plain truncated summation with interval tail bounds, raw
+values.  These deliberately avoid the library's scipy closed forms and
+plateau machinery: plain truncated summation with interval tail bounds, raw
 membership counts, product-form basis polynomials, and grid scans.
 """
 

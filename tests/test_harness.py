@@ -136,8 +136,8 @@ class TestCompare:
         assert worst_index_error(4000) <= worst_index_error(1000) + 0.005
 
     def test_failing_comparison_reported(self):
-        # an absurd value tolerance cannot be met
-        report = compare(lagrange_cfg(n_max=300, value_tol=1e-15))
+        # errors are compared with a strict <, so a zero tolerance is never met
+        report = compare(lagrange_cfg(n_max=300, value_tol=0.0))
         assert not report.passed
 
 

@@ -118,7 +118,7 @@ class TestAtJump:
 
 
 class TestStepSweep:
-    @pytest.mark.parametrize("s", [1.0, 2.0, 3.5])
+    @pytest.mark.parametrize("s", [1.0, 1.000001, 1.01, 2.0, 3.5, 20.0])
     def test_matches_direct_eval_rational(self, s):
         values = step_sweep(H_THIRD, s, range(1, 400))
         for n in (2, 7, 50, 333, 399):

@@ -31,11 +31,12 @@ class TestHurwitzZeta:
         oracle, bound = zeta_direct(3, 0.25)
         assert abs(hurwitz_zeta(3, 0.25).value - oracle) <= bound + 1e-10
 
-    def test_error_bound_reported(self):
+    def test_box_against_direct_summation(self):
         for s in (1.5, 2.0, 5.0, 10.0, 25.0, 50.0):
             for a in (0.1, 0.5, 1.0, 2.0):
-                ev = hurwitz_zeta(s, a)
-                assert 0 <= ev.abs_error_bound <= 1e-10
+                value = hurwitz_zeta(s, a).value
+                oracle, bound = zeta_direct(s, a, terms=10**6)
+                assert abs(value - oracle) <= bound + 1e-12 * max(1.0, abs(value))
 
     def test_decreasing_in_a(self):
         values = [hurwitz_zeta(2.5, a).value for a in np.linspace(0.1, 2.0, 12)]
@@ -63,6 +64,13 @@ class TestLerchJ:
         for s, a in [(1.0, 1 / 6), (1.5, 0.25), (3.0, 0.5)]:
             oracle, bound = lerch_j_direct(s, a, pairs=10**6)
             assert abs(lerch_j(s, a).value - oracle) <= bound + 1e-10
+
+    def test_box_against_direct_summation(self):
+        for s in (1.0, 1.001, 1.5, 3.0, 10.0):
+            for a in (1 / 6, 0.25, 0.5, 0.9, 1.0):
+                value = lerch_j(s, a).value
+                oracle, bound = lerch_j_direct(s, a, pairs=10**6)
+                assert abs(value - oracle) <= bound + 1e-12 * max(1.0, abs(value))
 
     @pytest.mark.parametrize("s,a", [(0.5, 0.5), (2.0, 0.0), (2.0, 1.5), (2.0, -0.2)])
     def test_domain_errors(self, s, a):
