@@ -16,7 +16,6 @@ from pathlib import Path
 from jumpspectra.harness import (
     ExperimentConfig,
     compare,
-    run_sequence,
     write_comparison_json,
     write_run_csv,
 )
@@ -41,9 +40,8 @@ def main():
     out.mkdir(parents=True, exist_ok=True)
     tag = f"lagrange_p{args.p}_q{args.q}_n{args.n_max}"
 
-    prefix = run_sequence(cfg)
-    write_run_csv(cfg, prefix, out / f"{tag}.csv")
     report = compare(cfg)
+    write_run_csv(cfg, report.prefix, out / f"{tag}.csv")
     write_comparison_json(cfg, report, out / f"{tag}.json")
 
     print(json.dumps(report.predicted.to_dict(), indent=2))

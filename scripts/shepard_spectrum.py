@@ -17,7 +17,6 @@ from pathlib import Path
 from jumpspectra.harness import (
     ExperimentConfig,
     compare,
-    run_sequence,
     write_comparison_json,
     write_run_csv,
 )
@@ -56,9 +55,8 @@ def main():
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    prefix = run_sequence(cfg)
-    write_run_csv(cfg, prefix, out / f"{tag}.csv")
     report = compare(cfg)
+    write_run_csv(cfg, report.prefix, out / f"{tag}.csv")
     write_comparison_json(cfg, report, out / f"{tag}.json")
 
     print(json.dumps(report.predicted.to_dict(), indent=2))

@@ -252,6 +252,8 @@ class MatchEntry:
 
 @dataclass
 class ComparisonReport:
+    """Outcome of compare; prefix is the graded sequence, left out of to_dict."""
+
     predicted: PredictedSpectrum
     empirical: ClusterReport
     matching: list[MatchEntry]
@@ -260,6 +262,7 @@ class ComparisonReport:
     ks_distance: float | None
     passed: bool
     tolerances: dict
+    prefix: SequencePrefix
 
     def to_dict(self) -> dict:
         return {
@@ -372,6 +375,7 @@ def compare(cfg: ExperimentConfig) -> ComparisonReport:
             ks_distance=ks,
             passed=ks < cfg.ks_tol,
             tolerances=tolerances,
+            prefix=prefix,
         )
     matches, un_atoms, un_clusters = _greedy_match(spectrum.atoms, report.clusters)
     ok = (
@@ -391,6 +395,7 @@ def compare(cfg: ExperimentConfig) -> ComparisonReport:
         ks_distance=None,
         passed=ok,
         tolerances=tolerances,
+        prefix=prefix,
     )
 
 

@@ -5,11 +5,28 @@ With x = cos(theta) and nodes x_{n,k} = cos(theta_{n,k}),
 theta_{n,k} = (2k-1) pi / (2n), the k-th fundamental polynomial is
 
     ell_{n,k}(cos theta) = (-1)^(k-1)/n * cos(n theta)
-                           / (cos theta - cos theta_{n,k}) * sin theta_{n,k}
+                           * sin theta_{n,k} / (cos theta - cos theta_{n,k})
 
-The cosine difference is always computed as
--2 sin((theta+theta_k)/2) sin((theta-theta_k)/2), which keeps full accuracy
-near coincidence and near the interval ends; the O(n^2) product form is
+and the identity
+
+    sin theta_k / (cos theta - cos theta_k) = (cot a_k + cot b_k) / 2,
+    a_k = (theta_k + theta)/2,  b_k = (theta_k - theta)/2,
+
+turns every weight into two tangents and no division by a cosine
+difference:
+
+    ell_{n,k} = cos(n theta)/(2n) * (cot a_k + cot b_k) * (-1)^(k-1).
+
+All evaluations (fundamental_weights, lagrange_eval, lagrange_at_jump) go
+through that one kernel.  Near coincidence b_k is small and carries the
+whole singularity, so its relative accuracy sets the accuracy of the sum.
+When theta = pi p/q is an exact rational angle, lagrange_at_jump forms the
+half-angles from exact integer numerators,
+
+    (theta_k -+ theta)/2 = pi ((2k-1) q -+ 2np) / (4nq),
+
+so b_k is exact to one rounding however close theta sits to a node; a float
+angle uses (theta_k -+ theta)/2 directly.  The O(n^2) product form is
 retained only as a test oracle.
 
 Node-offset bookkeeping for a jump location x0 = cos(theta0) tracks
@@ -43,8 +60,7 @@ class ChebyshevGrid:
         if n < 1:
             raise ValueError("grid order must be >= 1")
         self.n = int(n)
-        k = np.arange(1, self.n + 1)
-        self.thetas = (2 * k - 1) * math.pi / (2 * self.n)
+        self.thetas = np.arange(1, 2 * self.n, 2) * math.pi / (2 * self.n)
         self.nodes = np.cos(self.thetas)
 
     def __repr__(self):
@@ -96,13 +112,34 @@ def _coincident_node(grid: ChebyshevGrid, x: float, theta: float):
     return None
 
 
+def _weights(n: int, a: np.ndarray, b: np.ndarray, cos_n_theta: float) -> np.ndarray:
+    """cos(n theta)/(2n) * (cot a_k + cot b_k) * (-1)^(k-1), k = 1..n.
+
+    a and b are the half-angles (theta_k + theta)/2 and (theta_k - theta)/2;
+    both arrays are overwritten.
+    """
+    np.tan(a, out=a)
+    np.tan(b, out=b)
+    np.divide(1.0, a, out=a)
+    np.divide(1.0, b, out=b)
+    a += b
+    a *= cos_n_theta / (2 * n)
+    a[1::2] *= -1.0
+    return a
+
+
 def fundamental_weights(
-    grid: ChebyshevGrid, x: float, cos_n_theta: float | None = None
+    grid: ChebyshevGrid,
+    x: float,
+    cos_n_theta: float | None = None,
+    half_angles: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """All ell_{n,k}(x), k = 1..n, via the trigonometric form.
 
-    cos_n_theta overrides cos(n*theta); the caller can supply an exactly
-    reduced value when theta is a rational multiple of pi.
+    cos_n_theta overrides cos(n*theta) and half_angles the arrays
+    ((theta_k + theta)/2, (theta_k - theta)/2); the caller can supply exactly
+    reduced values when theta is a rational multiple of pi.  A node within
+    NODE_ATOL of x gets the cardinal weights.
     """
     if not -1.0 <= x <= 1.0:
         raise ValueError("argument must lie in [-1, 1]")
@@ -114,9 +151,9 @@ def fundamental_weights(
         return out
     if cos_n_theta is None:
         cos_n_theta = math.cos(grid.n * theta)
-    k = np.arange(1, grid.n + 1)
-    cosdiff = -2.0 * np.sin((theta + grid.thetas) / 2) * np.sin((theta - grid.thetas) / 2)
-    return (-1.0) ** (k - 1) / grid.n * cos_n_theta * np.sin(grid.thetas) / cosdiff
+    if half_angles is None:
+        half_angles = ((grid.thetas + theta) / 2, (grid.thetas - theta) / 2)
+    return _weights(grid.n, *half_angles, cos_n_theta)
 
 
 def fundamental_eval(grid: ChebyshevGrid, k: int, x: float) -> float:
@@ -146,6 +183,22 @@ def _rational_cos_n_theta(p: int, q: int, n: int) -> float:
     return math.cos(math.pi * ((n * p) % (2 * q)) / q)
 
 
+def _rational_half_angles(p: int, q: int, n: int):
+    """(theta_k + theta0)/2 and (theta_k - theta0)/2 for theta0 = pi p/q.
+
+    Both are pi*m/(4nq) with the integer m = (2k-1)q +- 2np, |m| < 4nq;
+    None when 4nq passes 2**53, above which not every m is an exact double.
+    """
+    if 4 * n * q > 2**53:
+        return None
+    scale = math.pi / (4 * n * q)
+    a = np.arange(q + 2 * n * p, q + 2 * n * (p + q), 2 * q, dtype=float)
+    b = np.arange(q - 2 * n * p, q + 2 * n * (q - p), 2 * q, dtype=float)
+    a *= scale
+    b *= scale
+    return a, b
+
+
 def lagrange_at_jump(
     grid: ChebyshevGrid, f: JumpFunction, jump_index: int, theta0=None
 ) -> float:
@@ -154,8 +207,9 @@ def lagrange_at_jump(
     theta0 (Fraction p/q for pi*p/q, float angle, or None to derive it from
     the stored location) drives the exact node-coincidence decision: when
     the location is a node of this grid the interpolant reproduces the
-    declared point value; otherwise the trigonometric sum is evaluated with
-    exactly reduced cos(n*theta0) on the rational path.
+    declared point value; otherwise the trigonometric sum is evaluated, on
+    the rational path with exactly reduced cos(n*theta0) and exact-integer
+    half-angles.
     """
     jump = f.jumps[jump_index]
     if theta0 is None:
@@ -164,11 +218,13 @@ def lagrange_at_jump(
     if trace.is_node:
         return jump.value
     if isinstance(theta0, Fraction):
-        angle = math.pi * theta0.numerator / theta0.denominator
-        cn = _rational_cos_n_theta(theta0.numerator, theta0.denominator, grid.n)
+        p, q = theta0.numerator, theta0.denominator
+        x0 = math.cos(math.pi * p / q)
+        cn = _rational_cos_n_theta(p, q, grid.n)
+        half_angles = _rational_half_angles(p, q, grid.n)
     else:
-        angle = float(theta0)
-        cn = math.cos(grid.n * angle)
-    x0 = math.cos(angle)
-    weights = fundamental_weights(grid, x0, cos_n_theta=cn)
+        x0 = math.cos(theta0)
+        cn = math.cos(grid.n * theta0)
+        half_angles = None
+    weights = fundamental_weights(grid, x0, cos_n_theta=cn, half_angles=half_angles)
     return float(weights @ f.eval_many(grid.nodes))

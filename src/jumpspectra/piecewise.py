@@ -118,12 +118,13 @@ class ContinuousPart:
         xs = np.asarray(xs, dtype=float)
         out = np.zeros_like(xs)
         for c in reversed(self.poly):
-            out = out * xs + c
+            out *= xs
+            out += c
         for freq, cc, sc in self.trig:
             if cc:
-                out = out + cc * np.cos(freq * xs)
+                out += cc * np.cos(freq * xs)
             if sc:
-                out = out + sc * np.sin(freq * xs)
+                out += sc * np.sin(freq * xs)
         return out
 
     def __call__(self, x: float) -> float:
@@ -170,7 +171,7 @@ class JumpFunction:
 
     def _check_domain(self, xs):
         lo, hi = self.domain
-        if np.any(xs < lo - 1e-12) or np.any(xs > hi + 1e-12):
+        if xs.size and (xs.min() < lo - 1e-12 or xs.max() > hi + 1e-12):
             raise ValueError(f"argument outside domain [{lo}, {hi}]")
 
     def eval_many(self, xs) -> np.ndarray:
@@ -181,7 +182,7 @@ class JumpFunction:
             locs = np.array([j.x_float for j in self.jumps])
             amounts = np.array([j.right - j.left for j in self.jumps])
             offsets = np.concatenate([[0.0], np.cumsum(amounts)])
-            out = out + offsets[np.searchsorted(locs, xs, side="right")]
+            out += offsets[np.searchsorted(locs, xs, side="right")]
             for j in self.jumps:
                 out[np.abs(xs - j.x_float) <= JUMP_ATOL] = j.value
         return out

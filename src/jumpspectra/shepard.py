@@ -142,7 +142,7 @@ def step_sweep(f: JumpFunction, s: float, n_values) -> np.ndarray:
             f"s={s} outside supported box [{SHEPARD_S_MIN}, {SHEPARD_S_MAX}]"
         )
     jump = f.jumps[0]
-    n_arr = np.asarray(list(n_values), dtype=int)
+    n_arr = np.fromiter(n_values, dtype=int)
     if isinstance(jump.x, Fraction):
         p, q = jump.x.numerator, jump.x.denominator
         r = (n_arr * p) % q
@@ -159,6 +159,9 @@ def step_sweep(f: JumpFunction, s: float, n_values) -> np.ndarray:
     out[node] = jump.value
     live = ~node
     if np.any(live):
-        a, b = _sweep_sums(sigma[live], k0[live].astype(float), n_arr[live].astype(float), float(s))
+        # rebinding frees the full-length arrays before the sums, which keeps
+        # the sweep's peak memory at n ~ 10^6 two arrays lower
+        sigma, k0, n_arr = sigma[live], k0[live].astype(float), n_arr[live].astype(float)
+        a, b = _sweep_sums(sigma, k0, n_arr, float(s))
         out[live] = (jump.left * a + jump.right * b) / (a + b)
     return out

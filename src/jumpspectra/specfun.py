@@ -28,6 +28,10 @@ from scipy.special import digamma, zeta
 
 ZETA_S_MAX = 50.0
 ZETA_A_MAX = 2.0
+# lerch_j refuses 1 < s < 1 + LERCH_J_POLE_GAP: there the zeta difference
+# cancels the 1/(s-1) pole and the error passes 1e-10 (1.0e-10 at
+# s = 1 + 1e-6, 1.6e-9 at s = 1 + 1e-7; 1.7e-11 at s = 1 + 1e-5)
+LERCH_J_POLE_GAP = 1e-5
 # Shepard exponent range [SHEPARD_S_MIN, SHEPARD_S_MAX]; the operators accept
 # both ends, the profile g_s needs s > SHEPARD_S_MIN.
 SHEPARD_S_MIN = 1.0
@@ -79,11 +83,17 @@ def lerch_j(s: float, a: float) -> ZetaEval:
     """J(s, a) = sum_{n>=0} (-1)^n (n+a)^(-s) for s >= 1, 0 < a <= 1.
 
     For s > 1 the zeta difference cancels the 1/(s-1) pole, so the absolute
-    error grows up to about 2e-16/(s-1): 2e-8 at s = 1 + 1e-9.
+    error grows as s approaches 1 (1.7e-11 at s = 1 + 1e-5).  The band
+    1 < s < 1 + LERCH_J_POLE_GAP, where it would pass 1e-10, is refused;
+    s = 1 itself uses the digamma form and is exact to rounding.
     """
     s, a = float(s), float(a)
     if s < 1.0:
         raise ValueError(f"lerch_j requires s >= 1, got s={s}")
+    if 1.0 < s < 1.0 + LERCH_J_POLE_GAP:
+        raise ValueError(
+            f"lerch_j refuses s in (1, 1+{LERCH_J_POLE_GAP:g}) near the pole, got s={s}"
+        )
     if not 0.0 < a <= 1.0:
         raise ValueError(f"lerch_j requires a in (0, 1], got a={a}")
     if s > ZETA_S_MAX:

@@ -121,6 +121,13 @@ class TestCompare:
         assert report.passed
         assert report.ks_distance < 0.05
 
+    @pytest.mark.parametrize("make_cfg", [lagrange_cfg, shepard_cfg])
+    def test_report_carries_the_graded_prefix(self, make_cfg):
+        cfg = make_cfg()
+        report = compare(cfg)
+        assert np.array_equal(report.prefix.values, run_sequence(cfg).values)
+        assert "prefix" not in report.to_dict()
+
     def test_boundary_location_rejected(self):
         with pytest.raises(ConfigError, match="location"):
             shepard_cfg(location=Fraction(0, 1)).validate()
@@ -302,6 +309,10 @@ class TestCli:
         assert main(["zeta", "--kind", "zeta", "--s", "2", "--a", "1"]) == 0
         value = json.loads(capsys.readouterr().out)["value"]
         assert value == pytest.approx(math.pi**2 / 6, abs=1e-10)
+
+    def test_zeta_j_pole_band_is_config_error(self, capsys):
+        assert main(["zeta", "--kind", "j", "--s", "1.000001", "--a", "0.5"]) == 2
+        assert "near the pole" in capsys.readouterr().err
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         config = {

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from jumpspectra.lagrange import (
     ChebyshevGrid,
@@ -13,13 +15,27 @@ from jumpspectra.lagrange import (
     lagrange_eval,
     sigma_lagrange,
 )
-from jumpspectra.piecewise import ContinuousPart, JumpFunction, pure_step
+from jumpspectra.piecewise import ContinuousPart, JumpFunction, from_steps, pure_step
 from jumpspectra.specfun import g_lagrange
 
 from oracles import product_basis
 
 CONST_ONE = JumpFunction(ContinuousPart((1.0,)), (), (-1.0, 1.0))
 CUBE = JumpFunction(ContinuousPart((0.0, 0.0, 0.0, 1.0)), (), (-1.0, 1.0))
+
+
+def _two_jump_at(ratio: Fraction):
+    """Acceptance criterion 7's x^2-base function with a jump at cos(pi*ratio).
+
+    Its jumps sit at 0 = cos(pi/2) and cos(pi/3); for ratio != 1/2 the
+    second one moves to cos(pi*ratio).  Returns the function and the index
+    of the jump at the location.
+    """
+    x0 = math.cos(math.pi * ratio.numerator / ratio.denominator)
+    at_zero = ratio == Fraction(1, 2)
+    x1 = math.cos(math.pi / 3) if at_zero else x0
+    f = from_steps(ContinuousPart((0.0, 0.0, 1.0)), [(0.0, 1.0, 0.3), (x1, -0.5, 0.6)], (-1.0, 1.0))
+    return f, [j.x_float for j in f.jumps].index(0.0 if at_zero else x0)
 
 
 class TestGrid:
@@ -190,6 +206,46 @@ class TestAtJump:
         grid = ChebyshevGrid(9)
         assert lagrange_eval(grid, h, 0.0) == 0.37
         assert lagrange_at_jump(grid, h, 0, Fraction(1, 2)) == 0.37
+
+    @pytest.mark.parametrize("ratio", [Fraction(1, 2), Fraction(1, 3), Fraction(2, 5), Fraction(5, 12)])
+    @pytest.mark.parametrize("n", [7, 40, 101, 257])
+    def test_rational_path_matches_product_basis(self, n, ratio):
+        x0 = math.cos(math.pi * ratio.numerator / ratio.denominator)
+        step = (pure_step(x0, 0.3, "left0_right1", (-1.0, 1.0)), 0)
+        for f, i in (step, _two_jump_at(ratio)):
+            grid = ChebyshevGrid(n)
+            fk = f.eval_many(grid.nodes)
+            direct = sum(product_basis(grid.nodes, k, x0) * fk[k - 1] for k in range(1, n + 1))
+            assert lagrange_at_jump(grid, f, i, ratio) == pytest.approx(direct, abs=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        q=st.integers(min_value=2, max_value=50),
+        p_seed=st.integers(min_value=1, max_value=49),
+        n=st.integers(min_value=1, max_value=3000),
+    )
+    def test_rational_and_float_angle_paths_agree(self, q, p_seed, n):
+        p = 1 + p_seed % (q - 1)
+        assume(math.gcd(p, q) == 1)
+        angle = math.pi * p / q
+        h = pure_step(math.cos(angle), 0.3, "left0_right1", (-1.0, 1.0))
+        grid = ChebyshevGrid(n)
+        exact = lagrange_at_jump(grid, h, 0, Fraction(p, q))
+        if sigma_lagrange(Fraction(p, q), n).is_node:
+            assert exact == 0.3
+            assert lagrange_at_jump(grid, h, 0, angle) == 0.3
+        else:
+            assert lagrange_at_jump(grid, h, 0, angle) == pytest.approx(exact, abs=1e-10)
+
+    def test_huge_denominator_falls_back_to_float_half_angles(self):
+        # 4nq exceeds 2**53, so the half-angle numerators are not exact doubles
+        ratio = Fraction(3**39 + 1, 3**40)
+        angle = math.pi * ratio.numerator / ratio.denominator
+        h = pure_step(math.cos(angle), 0.3, "left0_right1", (-1.0, 1.0))
+        grid = ChebyshevGrid(64)
+        assert lagrange_at_jump(grid, h, 0, ratio) == pytest.approx(
+            lagrange_at_jump(grid, h, 0, angle), abs=1e-12
+        )
 
     def test_float_angle_path(self):
         h = pure_step(math.cos(1.0), 0.3, "left0_right1", (-1.0, 1.0))

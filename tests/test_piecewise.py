@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from jumpspectra.piecewise import (
+    JUMP_ATOL,
     LAGRANGE_CONVENTION,
     LEFT0_RIGHT1,
     LEFT1_RIGHT0,
@@ -69,6 +70,29 @@ class TestEval:
     def test_domain_enforced(self, two_jump):
         with pytest.raises(ValueError):
             two_jump.eval(1.5)
+        with pytest.raises(ValueError):
+            two_jump.eval_many(np.array([0.5, -1e-11]))
+        assert two_jump.eval_many(np.array([-5e-13, 1.0 + 5e-13])).tolist() == [0.0, -1.0]
+
+    def test_empty_input(self, two_jump):
+        for f in (two_jump, pure_step(0.0, 0.7, LEFT0_RIGHT1, (-1.0, 1.0))):
+            out = f.eval_many(np.array([]))
+            assert isinstance(out, np.ndarray) and out.shape == (0,)
+
+    def test_point_values_within_tolerance(self, two_jump):
+        for j in two_jump.jumps:
+            x = j.x_float
+            xs = x + np.array([-0.9, -0.5, 0.0, 0.5, 0.9]) * JUMP_ATOL
+            assert two_jump.eval_many(xs).tolist() == [j.value] * 5
+        # just outside the tolerance the one-sided limits apply again
+        x = two_jump.jumps[0].x_float
+        assert two_jump.eval_many(np.array([x - 3e-13, x + 3e-13])).tolist() == [0.0, 2.0]
+
+    def test_polynomial_base_matches_polyval(self):
+        coeffs = (0.3, -1.2, 0.5, 2.0, -0.7)  # ascending
+        f = JumpFunction(ContinuousPart(coeffs), (), (-1.0, 1.0))
+        xs = np.linspace(-1.0, 1.0, 101)
+        assert np.max(np.abs(f.eval_many(xs) - np.polyval(coeffs[::-1], xs))) <= 1e-14
 
 
 class TestLimits:

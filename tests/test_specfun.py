@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from jumpspectra.density import IntervalUnion
 from jumpspectra.specfun import (
+    LERCH_J_POLE_GAP,
     LimitProfile,
     ProfileMonotonicityError,
     g_lagrange,
@@ -72,7 +73,17 @@ class TestLerchJ:
                 oracle, bound = lerch_j_direct(s, a, pairs=10**6)
                 assert abs(value - oracle) <= bound + 1e-12 * max(1.0, abs(value))
 
-    @pytest.mark.parametrize("s,a", [(0.5, 0.5), (2.0, 0.0), (2.0, 1.5), (2.0, -0.2)])
+    def test_pole_band_edge_against_direct_summation(self):
+        # the smallest s > 1 that lerch_j accepts
+        s = 1.0 + LERCH_J_POLE_GAP
+        for a in (1 / 6, 0.25, 0.5, 0.9, 1.0):
+            oracle, bound = lerch_j_direct(s, a, pairs=10**6)
+            assert abs(lerch_j(s, a).value - oracle) <= bound + 1e-10
+
+    @pytest.mark.parametrize(
+        "s,a",
+        [(0.5, 0.5), (2.0, 0.0), (2.0, 1.5), (2.0, -0.2), (1.0 + 1e-6, 0.5), (1.0 + 1e-9, 1.0)],
+    )
     def test_domain_errors(self, s, a):
         with pytest.raises(ValueError):
             lerch_j(s, a)
