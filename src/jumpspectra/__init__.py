@@ -38,7 +38,6 @@ from .piecewise import (
     ContinuousPart,
     JumpFunction,
     JumpSpec,
-    StepSpec,
     from_steps,
     load_descriptor,
     pure_step,

@@ -8,10 +8,13 @@ Subcommands:
   selftest  run the built-in invariant suite
 
 Exit codes: 0 success / comparison pass, 1 comparison fail, 2 configuration
-error, 3 numeric precondition failure (profile monotonicity gate).
+error (bad flags, config file or descriptor, or a file that cannot be read
+or written), 3 numeric precondition failure (profile monotonicity gate).
+Any other exception is an internal fault and propagates with its traceback.
 
 Flags mirror ExperimentConfig fields; an optional --config JSON file
-supplies defaults that individual flags override.
+supplies defaults that individual flags override, and may name only flags,
+eps-grid and index-floor.
 """
 
 from __future__ import annotations
@@ -74,11 +77,49 @@ def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="output path")
 
 
+# flag -> (ExperimentConfig field, converter); eps-grid and index-floor can
+# only come from a --config file
+_FIELDS = {
+    "operator": ("operator", str),
+    "s": ("s", float),
+    "fn": ("fn", load_descriptor),
+    "jump": ("jump_index", int),
+    "d": ("d", float),
+    "n-max": ("n_max", int),
+    "stride": ("stride", int),
+    "gap": ("gap", float),
+    "tail-fraction": ("tail_fraction", float),
+    "value-tol": ("value_tol", float),
+    "index-tol": ("index_tol", float),
+    "ks-tol": ("ks_tol", float),
+    "eps-grid": ("eps_grid", lambda v: tuple(float(e) for e in v)),
+    "index-floor": ("index_floor", float),
+}
+
+
+def _converted(opts, flag: str, convert):
+    """convert(opts[flag]); a value it cannot take is a ConfigError."""
+    try:
+        return convert(opts[flag])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{flag}: {exc!r}") from exc
+
+
 def _merged_options(args) -> dict:
+    flags = {key.replace("_", "-") for key in vars(args)} - {"config", "command", "func"}
     opts: dict = {}
     if args.config:
         with open(args.config) as fh:
-            opts.update(json.load(fh))
+            try:
+                config = json.load(fh)
+            except ValueError as exc:
+                raise ConfigError(f"config: {exc}") from exc
+        if not isinstance(config, dict):
+            raise ConfigError("config: must be a JSON object")
+        unknown = sorted(set(config) - flags - set(_FIELDS))
+        if unknown:
+            raise ConfigError(f"config: unknown keys {unknown}")
+        opts.update(config)
     for key, value in vars(args).items():
         if key in ("config", "command") or value is None or value is False:
             continue
@@ -86,73 +127,57 @@ def _merged_options(args) -> dict:
     return opts
 
 
+def _rational(opts, num: str, den: str) -> Fraction:
+    if opts.get(num) is None or opts.get(den) is None:
+        raise ConfigError(f"location: both --{num} and --{den} are required")
+    q = _converted(opts, den, int)
+    if q == 0:
+        raise ConfigError(f"{den}: must be nonzero")
+    return Fraction(_converted(opts, num, int), q)
+
+
 def _location_from_options(opts, operator: str):
     if opts.get("theta-num") is not None or opts.get("theta-den") is not None:
         if operator != "lagrange":
             raise ConfigError("location: --theta-num/--theta-den require --operator lagrange")
-        if opts.get("theta-num") is None or opts.get("theta-den") is None:
-            raise ConfigError("location: both --theta-num and --theta-den are required")
-        return Fraction(int(opts["theta-num"]), int(opts["theta-den"]))
+        return _rational(opts, "theta-num", "theta-den")
     if opts.get("x0-num") is not None or opts.get("x0-den") is not None:
         if operator != "shepard":
             raise ConfigError("location: --x0-num/--x0-den require --operator shepard")
-        if opts.get("x0-num") is None or opts.get("x0-den") is None:
-            raise ConfigError("location: both --x0-num and --x0-den are required")
-        return Fraction(int(opts["x0-num"]), int(opts["x0-den"]))
+        return _rational(opts, "x0-num", "x0-den")
     if opts.get("location") is not None:
         if not opts.get("irrational"):
             raise ConfigError(
                 "location: float locations must carry --irrational (use the "
                 "num/den flags for exact rationals)"
             )
-        return Irrational(float(opts["location"]))
+        return Irrational(_converted(opts, "location", float))
     raise ConfigError("location: one of --theta-num/--theta-den, --x0-num/--x0-den, "
                       "or --location --irrational is required")
 
 
 def _config_from_options(opts) -> ExperimentConfig:
-    operator = opts.get("operator")
-    if operator is None:
+    if opts.get("operator") is None:
         raise ConfigError("operator: required")
-    location = _location_from_options(opts, operator)
-    cfg = ExperimentConfig(operator=operator, location=location)
-    if opts.get("s") is not None:
-        cfg.s = float(opts["s"])
-    if opts.get("fn"):
-        cfg.fn = load_descriptor(opts["fn"])
-        cfg.jump_index = int(opts.get("jump", 0))
-    if opts.get("d") is not None:
-        cfg.d = float(opts["d"])
-    if opts.get("n-max") is not None:
-        cfg.n_max = int(opts["n-max"])
-    if opts.get("stride") is not None:
-        cfg.stride = int(opts["stride"])
-    if opts.get("gap") is not None:
-        cfg.gap = float(opts["gap"])
-    if opts.get("tail-fraction") is not None:
-        cfg.tail_fraction = float(opts["tail-fraction"])
-    if opts.get("value-tol") is not None:
-        cfg.value_tol = float(opts["value-tol"])
-    if opts.get("index-tol") is not None:
-        cfg.index_tol = float(opts["index-tol"])
-    if opts.get("ks-tol") is not None:
-        cfg.ks_tol = float(opts["ks-tol"])
-    if opts.get("eps-grid") is not None:  # config-file only
-        cfg.eps_grid = tuple(float(e) for e in opts["eps-grid"])
-    if opts.get("index-floor") is not None:
-        cfg.index_floor = float(opts["index-floor"])
-    cfg.validate()
-    return cfg
+    kwargs = {
+        field: _converted(opts, flag, convert)
+        for flag, (field, convert) in _FIELDS.items()
+        if opts.get(flag) is not None
+    }
+    location = _location_from_options(opts, kwargs["operator"])
+    return ExperimentConfig(location=location, **kwargs)
 
 
 def _cmd_run(args) -> int:
     opts = _merged_options(args)
     cfg = _config_from_options(opts)
-    prefix = run_sequence(cfg)
     fmt = opts.get("format", "csv")
     out = opts.get("out")
     if out is None:
         raise ConfigError("out: required for run")
+    if fmt not in ("csv", "json"):
+        raise ConfigError("format: must be 'csv' or 'json'")
+    prefix = run_sequence(cfg)
     if fmt == "csv":
         write_run_csv(cfg, prefix, out)
     else:
@@ -192,14 +217,18 @@ def _cmd_predict(args) -> int:
 
 def _cmd_zeta(args) -> int:
     kind = args.kind
-    if kind in ("zeta", "j"):
-        ev = (hurwitz_zeta if kind == "zeta" else lerch_j)(args.s, args.a)
-        print(json.dumps({"kind": kind, "s": ev.s, "a": ev.a, "value": ev.value}))
-    elif kind == "g":
-        print(json.dumps({"kind": kind, "x": args.x, "value": g_lagrange(args.x)}))
-    else:
-        print(json.dumps({"kind": kind, "s": args.s, "x": args.x,
-                          "value": g_shepard(args.s, args.x)}))
+    try:
+        if kind in ("zeta", "j"):
+            ev = (hurwitz_zeta if kind == "zeta" else lerch_j)(args.s, args.a)
+            result = {"kind": kind, "s": ev.s, "a": ev.a, "value": ev.value}
+        elif kind == "g":
+            result = {"kind": kind, "x": args.x, "value": g_lagrange(args.x)}
+        else:
+            result = {"kind": kind, "s": args.s, "x": args.x,
+                      "value": g_shepard(args.s, args.x)}
+    except ValueError as exc:  # an argument outside the function's domain
+        raise ConfigError(str(exc)) from exc
+    print(json.dumps(result))
     return EXIT_OK
 
 
@@ -247,7 +276,7 @@ def main(argv=None) -> int:
     except ProfileMonotonicityError as exc:
         print(f"numeric precondition failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (OSError, ValueError) as exc:
+    except OSError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

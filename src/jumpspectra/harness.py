@@ -38,6 +38,7 @@ from .density import (
     Cluster,
     ClusterReport,
     SequencePrefix,
+    _validate_grid,
     detect_clusters,
 )
 from .lagrange import ChebyshevGrid, lagrange_at_jump, sigma_lagrange
@@ -64,7 +65,7 @@ class ConfigError(ValueError):
     """Invalid experiment configuration (reported with the offending field)."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     """Everything needed to reproduce one operator run.
 
@@ -73,6 +74,9 @@ class ExperimentConfig:
     arithmetic drives node coincidences) or an Irrational marker with a
     float approximation.  fn defaults to the canonical unit step at the
     location with point value d.
+
+    A config is validated once, at construction (ConfigError), and cannot
+    be changed afterwards.
     """
 
     operator: str
@@ -90,6 +94,9 @@ class ExperimentConfig:
     index_tol: float = DEFAULT_INDEX_TOL
     ks_tol: float = DEFAULT_KS_TOL
     index_floor: float = DEFAULT_INDEX_FLOOR
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self) -> None:
         if self.operator not in (LAGRANGE, SHEPARD):
@@ -117,7 +124,22 @@ class ExperimentConfig:
             raise ConfigError("n_max: must be >= 64")
         if self.stride < 1:
             raise ConfigError("stride: must be >= 1")
+        if self.gap is not None and not self.gap > 0:
+            raise ConfigError("gap: must be positive")
+        if self.tail_fraction is not None and not 0 < self.tail_fraction <= 1:
+            raise ConfigError("tail_fraction: must be in (0, 1]")
+        if self.eps_grid is not None:
+            try:
+                _validate_grid(self.eps_grid)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"eps_grid: {exc}") from exc
         if self.fn is not None:
+            lo, hi = (-1.0, 1.0) if self.operator == LAGRANGE else (0.0, 1.0)
+            if not (self.fn.domain[0] <= lo and hi <= self.fn.domain[1]):
+                raise ConfigError(
+                    f"fn: descriptor domain must contain [{lo:g}, {hi:g}], "
+                    "where the operator samples"
+                )
             if not 0 <= self.jump_index < len(self.fn.jumps):
                 raise ConfigError("jump_index: out of range for the descriptor")
             declared = self.fn.jumps[self.jump_index].x_float
@@ -200,7 +222,6 @@ def run_sequence(cfg: ExperimentConfig) -> SequencePrefix:
     Pure and deterministic: the value at each position depends only on the
     configuration.
     """
-    cfg.validate()
     f, i = cfg.resolved_fn()
     ns = cfg.ns()
     if cfg.operator == SHEPARD:
@@ -224,7 +245,6 @@ def run_sequence(cfg: ExperimentConfig) -> SequencePrefix:
 
 def predict(cfg: ExperimentConfig) -> PredictedSpectrum:
     """Predicted spectrum for the configured jump and location."""
-    cfg.validate()
     f, i = cfg.resolved_fn()
     jump = f.jumps[i]
     if cfg.operator == LAGRANGE:
@@ -337,7 +357,6 @@ def _greedy_match(atoms, clusters):
 
 def compare(cfg: ExperimentConfig) -> ComparisonReport:
     """Run the sequence, detect clusters, and grade against the prediction."""
-    cfg.validate()
     prefix = run_sequence(cfg)
     spectrum = predict(cfg)
     gap = cfg.gap if cfg.gap is not None else DEFAULT_GAP

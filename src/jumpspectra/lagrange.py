@@ -47,10 +47,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .piecewise import JumpFunction
-
-NODE_ATOL = 1e-13
-SIGMA_FLOAT_TOL = 1e-12
+from .piecewise import NODE_ATOL, JumpFunction, _float_offset
 
 
 class ChebyshevGrid:
@@ -81,8 +78,8 @@ def sigma_lagrange(theta0, n: int) -> SigmaTrace:
     """Node offset sigma_n = frac(n*theta0/pi + 1/2) for angle theta0.
 
     theta0 is either a Fraction p/q meaning theta0 = pi*p/q (exact integer
-    path; normalized to lowest terms) or a float angle in (0, pi)
-    (tolerance 1e-12 for the node decision).
+    path; normalized to lowest terms) or a float angle in (0, pi), whose
+    node decision follows the offset rule of the piecewise module.
     """
     if isinstance(theta0, Fraction):
         p, q = theta0.numerator, theta0.denominator
@@ -94,12 +91,8 @@ def sigma_lagrange(theta0, n: int) -> SigmaTrace:
     theta0 = float(theta0)
     if not 0.0 < theta0 < math.pi:
         raise ValueError("theta0 must lie in (0, pi)")
-    t = n * (theta0 / math.pi) + 0.5
-    k0 = math.floor(t)
-    sigma = t - k0
-    if min(sigma, 1.0 - sigma) < SIGMA_FLOAT_TOL:
-        return SigmaTrace(n=n, k0=round(t), sigma=0.0, is_node=True)
-    return SigmaTrace(n=n, k0=k0, sigma=sigma, is_node=False)
+    k0, sigma, is_node = _float_offset(n * (theta0 / math.pi) + 0.5)
+    return SigmaTrace(n=n, k0=k0, sigma=sigma, is_node=is_node)
 
 
 def _coincident_node(grid: ChebyshevGrid, x: float, theta: float):

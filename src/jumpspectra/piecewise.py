@@ -8,10 +8,26 @@ value; a zero jump (left == right) is rejected at construction.
 
 Evaluation is exact: away from the jumps f(x) = base(x) plus the sum of
 the jump amounts to the left of x, and at a declared jump location f
-returns the declared point value.  Points within JUMP_ATOL of a jump
-location are treated as the jump itself; this mirrors the node-coincidence
-tolerance used by the operators, so that a grid node computed through a
-different floating-point route still picks up the point value.
+returns the declared point value.
+
+Node-coincidence policy, shared by the whole package.  Whether a point is a
+jump location or a grid node is decided by integer arithmetic whenever the
+location is an exact rational (lagrange.sigma_lagrange,
+shepard.sigma_shepard); no tolerance applies there.  Float points use two
+tolerances, both defined here:
+
+  * NODE_ATOL: a point within NODE_ATOL of a jump location or a grid node
+    is that point, so a node computed through a different floating-point
+    route still picks up the jump's point value or the cardinal weights;
+  * OFFSET_TOL: a float location is a node of the n-th grid when its
+    offset sigma_n = frac(t), with t = n*x0 (Shepard) or
+    n*theta0/pi + 1/2 (Lagrange), lies within max(OFFSET_TOL, 4*eps*t) of
+    an integer.  The 4*eps*t term bounds the rounding that t itself
+    carries, about eps*t, which passes OFFSET_TOL once t exceeds about
+    4500.
+
+_float_offset applies the offset rule to one t, shepard.step_sweep to an
+array of them.
 
 Jump locations may be exact rationals (Fraction) or floats; the rational
 form is preserved so that downstream node-offset arithmetic stays exact.
@@ -23,52 +39,33 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-JUMP_ATOL = 1e-13
+NODE_ATOL = 1e-13
+OFFSET_TOL = 1e-12
 
 LEFT0_RIGHT1 = "left0_right1"
 LEFT1_RIGHT0 = "left1_right0"
 
-LAGRANGE_CONVENTION = "lagrange"
-SHEPARD_CONVENTION = "shepard"
+
+def _offset_tol(t):
+    """Node tolerance for the offset frac(t); elementwise on arrays."""
+    return np.maximum(OFFSET_TOL, 4 * np.finfo(float).eps * t)
 
 
-@dataclass(frozen=True)
-class StepSpec:
-    """Canonical unit step with point value d at x0.
+def _float_offset(t: float) -> tuple[int, float, bool]:
+    """(k0, sigma, is_node) for sigma = frac(t), under the offset rule.
 
-    Orientation left0_right1 is 0 below / 1 above the jump; left1_right0 is
-    the reverse.
+    A node has sigma = 0 and k0 the nearest integer to t.
     """
-
-    x0: object  # float or Fraction
-    d: float
-    orientation: str
-    domain: tuple[float, float]
-
-    def __post_init__(self):
-        if self.orientation not in (LEFT0_RIGHT1, LEFT1_RIGHT0):
-            raise ValueError(f"unknown orientation {self.orientation!r}")
-        lo, hi = self.domain
-        if not lo < float(self.x0) < hi:
-            raise ValueError("step location must be interior to the domain")
-
-    def eval_many(self, xs) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        x0 = float(self.x0)
-        if self.orientation == LEFT0_RIGHT1:
-            out = np.where(xs > x0, 1.0, 0.0)
-        else:
-            out = np.where(xs < x0, 1.0, 0.0)
-        out[np.abs(xs - x0) <= JUMP_ATOL] = self.d
-        return out
-
-    def __call__(self, x: float) -> float:
-        return float(self.eval_many(np.array([x]))[0])
+    k0 = math.floor(t)
+    sigma = t - k0
+    if min(sigma, 1.0 - sigma) < _offset_tol(t):
+        return round(t), 0.0, True
+    return k0, sigma, False
 
 
 @dataclass(frozen=True)
@@ -89,22 +86,6 @@ class JumpSpec:
     @property
     def x_float(self) -> float:
         return float(self.x)
-
-    def step_coefficient(self, convention: str) -> float:
-        """Signed jump amount under the given operator convention."""
-        if convention == LAGRANGE_CONVENTION:
-            return self.right - self.left
-        if convention == SHEPARD_CONVENTION:
-            return self.left - self.right
-        raise ValueError(f"unknown convention {convention!r}")
-
-    def normalized_value(self, convention: str) -> float:
-        """Point value mapped onto the canonical unit step for the convention."""
-        if convention == LAGRANGE_CONVENTION:
-            return (self.value - self.left) / (self.right - self.left)
-        if convention == SHEPARD_CONVENTION:
-            return (self.value - self.right) / (self.left - self.right)
-        raise ValueError(f"unknown convention {convention!r}")
 
 
 @dataclass(frozen=True)
@@ -130,11 +111,6 @@ class ContinuousPart:
     def __call__(self, x: float) -> float:
         return float(self.eval_many(np.array([x]))[0])
 
-    def shifted(self, offset: float) -> "ContinuousPart":
-        poly = list(self.poly) or [0.0]
-        poly[0] += offset
-        return ContinuousPart(tuple(poly), self.trig)
-
 
 @dataclass(frozen=True)
 class JumpFunction:
@@ -149,6 +125,10 @@ class JumpFunction:
     base: ContinuousPart
     jumps: tuple[JumpSpec, ...]
     domain: tuple[float, float]
+    # jump table for eval_many: the jump locations, and _offsets[i] = the
+    # summed amounts of the first i jumps
+    _locs: np.ndarray = field(init=False, repr=False, compare=False)
+    _offsets: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lo, hi = self.domain
@@ -159,15 +139,17 @@ class JumpFunction:
             raise ValueError("jump locations must be strictly increasing")
         if any(not lo < x < hi for x in xs):
             raise ValueError("jump locations must be strictly interior")
-        acc = 0.0
+        offsets = [0.0]
         for j in self.jumps:
-            expected_left = self.base(j.x_float) + acc
+            expected_left = self.base(j.x_float) + offsets[-1]
             if not math.isclose(j.left, expected_left, rel_tol=1e-9, abs_tol=1e-9):
                 raise ValueError(
                     f"declared left limit {j.left} at x={j.x} is inconsistent "
                     f"with base + prior jumps ({expected_left})"
                 )
-            acc += j.right - j.left
+            offsets.append(offsets[-1] + (j.right - j.left))
+        object.__setattr__(self, "_locs", np.array(xs, dtype=float))
+        object.__setattr__(self, "_offsets", np.array(offsets))
 
     def _check_domain(self, xs):
         lo, hi = self.domain
@@ -179,12 +161,9 @@ class JumpFunction:
         self._check_domain(xs)
         out = self.base.eval_many(xs)
         if self.jumps:
-            locs = np.array([j.x_float for j in self.jumps])
-            amounts = np.array([j.right - j.left for j in self.jumps])
-            offsets = np.concatenate([[0.0], np.cumsum(amounts)])
-            out += offsets[np.searchsorted(locs, xs, side="right")]
+            out += self._offsets[np.searchsorted(self._locs, xs, side="right")]
             for j in self.jumps:
-                out[np.abs(xs - j.x_float) <= JUMP_ATOL] = j.value
+                out[np.abs(xs - j.x_float) <= NODE_ATOL] = j.value
         return out
 
     def eval(self, x: float) -> float:
@@ -200,39 +179,12 @@ class JumpFunction:
             raise ValueError("one-sided limits require an interior point")
         base = self.base(x0)
         left = base + sum(
-            j.right - j.left for j in self.jumps if j.x_float < x0 - JUMP_ATOL
+            j.right - j.left for j in self.jumps if j.x_float < x0 - NODE_ATOL
         )
         right = base + sum(
-            j.right - j.left for j in self.jumps if j.x_float <= x0 + JUMP_ATOL
+            j.right - j.left for j in self.jumps if j.x_float <= x0 + NODE_ATOL
         )
         return left, right
-
-    def decompose(self, convention: str = LAGRANGE_CONVENTION):
-        """Split into (continuous part, [(coefficient, unit step), ...]).
-
-        Recombining F(x) + sum_i c_i * step_i(x) reproduces eval pointwise,
-        including the point values at the jumps.
-        """
-        steps = []
-        for j in self.jumps:
-            c = j.step_coefficient(convention)
-            steps.append(
-                (c, StepSpec(j.x, j.normalized_value(convention), _orient(convention), self.domain))
-            )
-        if convention == LAGRANGE_CONVENTION:
-            remainder = self.base
-        else:
-            total = sum(j.right - j.left for j in self.jumps)
-            remainder = self.base.shifted(total)
-        return remainder, steps
-
-
-def _orient(convention: str) -> str:
-    if convention == LAGRANGE_CONVENTION:
-        return LEFT0_RIGHT1
-    if convention == SHEPARD_CONVENTION:
-        return LEFT1_RIGHT0
-    raise ValueError(f"unknown convention {convention!r}")
 
 
 def pure_step(x0, d: float, orientation: str, domain) -> JumpFunction:
@@ -295,6 +247,8 @@ def to_descriptor_dict(f: JumpFunction) -> dict:
 
 
 def from_descriptor_dict(data: dict) -> JumpFunction:
+    if not isinstance(data, dict):
+        raise ValueError("a function descriptor must be a JSON object")
     base = ContinuousPart(
         poly=tuple(float(c) for c in data.get("poly", [0.0])) or (0.0,),
         trig=tuple(

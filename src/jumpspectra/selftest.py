@@ -98,18 +98,6 @@ def run_selftest() -> list[dict]:
     const_ok = abs(shepard_eval(cfg, const, 0.374) - 3.25) < 1e-12
     checks.append(_check("shepard node/constant reproduction", node_ok and const_ok))
 
-    # piecewise decompose/recombine round trip
-    f = piecewise.from_steps(
-        ContinuousPart((0.0, 0.0, 1.0)),
-        [(Fraction(1, 3), 2.0, 1.0), (Fraction(2, 3), -3.0, 0.0)],
-        (0.0, 1.0),
-    )
-    remainder, steps = f.decompose(piecewise.LAGRANGE_CONVENTION)
-    xs = np.linspace(0.0, 1.0, 101)
-    recombined = remainder.eval_many(xs) + sum(c * st.eval_many(xs) for c, st in steps)
-    worst = np.max(np.abs(recombined - f.eval_many(xs)))
-    checks.append(_check("piecewise decompose/recombine", worst < 1e-12, f"max diff = {worst:.2e}"))
-
     # interpolation reproduces polynomials of degree < n
     fcube = JumpFunction(ContinuousPart((0.0, 0.0, 0.0, 1.0)), (), (-1.0, 1.0))
     err = abs(lagrange_eval(ChebyshevGrid(4), fcube, 0.37) - 0.37**3)

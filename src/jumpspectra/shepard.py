@@ -10,7 +10,7 @@ out, (d_min/d_k)^s, which cannot overflow for any s in the supported box
 
 Node coincidences for a rational evaluation point x0 = p/q are decided by
 integer divisibility (q | n p), never by floating-point closeness; the
-float path uses a 1e-12 tolerance.
+float path follows the offset rule of the piecewise module.
 
 step_sweep evaluates the operator at the jump of a single-jump,
 constant-base function for a whole range of n at once.  It rearranges the
@@ -25,7 +25,6 @@ s; the rearrangement is equality-tested against shepard_eval.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,10 +32,8 @@ import numpy as np
 from scipy.special import digamma, zeta
 
 from .lagrange import SigmaTrace
-from .piecewise import JumpFunction
+from .piecewise import OFFSET_TOL, JumpFunction, _float_offset, _offset_tol
 from .specfun import SHEPARD_S_MAX, SHEPARD_S_MIN
-
-NODE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -70,12 +67,8 @@ def sigma_shepard(x0, n: int) -> SigmaTrace:
     x0 = float(x0)
     if not 0.0 <= x0 <= 1.0:
         raise ValueError("location must lie in [0, 1]")
-    t = n * x0
-    k0 = math.floor(t)
-    sigma = t - k0
-    if min(sigma, 1.0 - sigma) < NODE_RTOL:
-        return SigmaTrace(n=n, k0=round(t), sigma=0.0, is_node=True)
-    return SigmaTrace(n=n, k0=k0, sigma=sigma, is_node=False)
+    k0, sigma, is_node = _float_offset(n * x0)
+    return SigmaTrace(n=n, k0=k0, sigma=sigma, is_node=is_node)
 
 
 def shepard_eval(cfg: ShepardConfig, f: JumpFunction, x) -> float:
@@ -89,7 +82,7 @@ def shepard_eval(cfg: ShepardConfig, f: JumpFunction, x) -> float:
     nodes = cfg.nodes
     dist = np.abs(xf - nodes)
     dmin = dist.min()
-    if dmin < NODE_RTOL:
+    if dmin < OFFSET_TOL:  # division guard: keeps (dmin/dist)**s off 0/0
         return f.eval(nodes[int(np.argmin(dist))])
     weights = (dmin / dist) ** cfg.s
     return float(np.sum(f.eval_many(nodes) * weights) / np.sum(weights))
@@ -153,7 +146,7 @@ def step_sweep(f: JumpFunction, s: float, n_values) -> np.ndarray:
         t = n_arr * float(jump.x)
         k0_f = np.floor(t)
         sigma = t - k0_f
-        node = np.minimum(sigma, 1.0 - sigma) < NODE_RTOL
+        node = np.minimum(sigma, 1.0 - sigma) < _offset_tol(t)
         k0 = k0_f.astype(int)
     out = np.empty(n_arr.size, dtype=float)
     out[node] = jump.value

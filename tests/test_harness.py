@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -88,6 +89,28 @@ class TestValidation:
         f = from_steps(ContinuousPart((0.0,)), [(0.4, 1.0, 0.25)], (0.0, 1.0))
         with pytest.raises(ConfigError, match="jump_index"):
             shepard_cfg(fn=f).validate()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("gap", 0.0), ("gap", -1.0), ("tail_fraction", 0.0), ("tail_fraction", 1.5),
+         ("eps_grid", ()), ("eps_grid", (0.1, 0.2)), ("eps_grid", (0.1, -0.05))],
+    )
+    def test_cluster_knobs_checked_at_construction(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            shepard_cfg(**{field: value})
+
+    def test_descriptor_domain_must_cover_the_nodes(self):
+        f = from_steps(ContinuousPart((0.0,)), [(0.5, 1.0, 0.25)], (0.0, 0.9))
+        with pytest.raises(ConfigError, match="domain"):
+            shepard_cfg(fn=f)
+        with pytest.raises(ConfigError, match="domain"):
+            lagrange_cfg(location=Fraction(1, 2), fn=from_steps(
+                ContinuousPart((0.0,)), [(0.0, 1.0, 0.25)], (-1.0, 0.5)))
+
+    def test_frozen(self):
+        cfg = lagrange_cfg()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.n_max = 10
 
 
 class TestCompare:
@@ -276,6 +299,61 @@ class TestCli:
         assert main(
             ["run", "--operator", "lagrange", "--location", "0.3", "--n-max", "80"]
         ) == 2  # missing --irrational and --out
+
+    @pytest.mark.parametrize(
+        "descriptor",
+        [
+            {"poly": [0.0], "jumps": []},
+            {"domain": [0.0, 1.0], "jumps": [{"x": 0.5, "left": 0.0, "right": 1.0}]},
+            {"domain": [0.0, 1.0], "jumps": [{"x": 0.5, "left": 0.0, "right": 0.0,
+                                             "value": 0.0}]},
+            [1, 2],
+        ],
+    )
+    def test_bad_descriptor_exit_two(self, tmp_path, descriptor):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(descriptor))
+        argv = ["predict", "--operator", "shepard", "--x0-num", "1", "--x0-den", "2",
+                "--fn", str(path)]
+        assert main(argv) == 2
+
+    @pytest.mark.parametrize(
+        "config", [{"n_max": 100000}, "not an object", {"n-max": "many"}]
+    )
+    def test_bad_config_file_exit_two(self, tmp_path, capsys, config):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "run.csv"
+        argv = ["run", "--config", str(path), "--operator", "lagrange",
+                "--theta-num", "1", "--theta-den", "3", "--out", str(out)]
+        assert main(argv) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--gap", "-1"], ["--tail-fraction", "0"],
+                                       ["--x0-den", "0"]])
+    def test_bad_flag_value_exit_two(self, flags):
+        argv = ["compare", "--operator", "shepard", "--x0-num", "1", "--x0-den", "3",
+                "--n-max", "100", *flags]
+        assert main(argv) == 2
+
+    def test_internal_fault_propagates(self, monkeypatch, tmp_path):
+        from jumpspectra import cli
+
+        def boom(cfg):
+            raise ValueError("internal fault")
+
+        monkeypatch.setattr(cli, "run_sequence", boom)
+        argv = ["run", "--operator", "lagrange", "--theta-num", "1", "--theta-den", "3",
+                "--n-max", "80", "--out", str(tmp_path / "run.csv")]
+        with pytest.raises(ValueError, match="internal fault"):
+            main(argv)
+
+    def test_selftest(self, capsys):
+        assert main(["selftest"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 10
+        assert all(line.startswith("[PASS]") for line in lines)
 
     def test_numeric_precondition_exit_three(self, monkeypatch):
         from jumpspectra import cli

@@ -166,6 +166,13 @@ class TestSigma:
             assert approx.sigma == pytest.approx(float(exact.sigma), abs=1e-9)
             assert approx.k0 == exact.k0
 
+    @pytest.mark.parametrize("n, k", [(4099, 1000), (100003, 30001), (3000017, 1000001)])
+    def test_float_node_at_large_n(self, n, k):
+        # theta0 = theta_{n,k} in floating point: t = n*theta0/pi + 1/2 carries
+        # rounding of about eps*t, past 1e-12 at the largest n
+        trace = sigma_lagrange(math.pi * (2 * k - 1) / (2 * n), n)
+        assert trace.is_node and trace.k0 == k and trace.sigma == 0.0
+
     def test_angle_validation(self):
         with pytest.raises(ValueError):
             sigma_lagrange(Fraction(3, 2), 5)

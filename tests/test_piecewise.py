@@ -5,15 +5,12 @@ import numpy as np
 import pytest
 
 from jumpspectra.piecewise import (
-    JUMP_ATOL,
-    LAGRANGE_CONVENTION,
     LEFT0_RIGHT1,
     LEFT1_RIGHT0,
-    SHEPARD_CONVENTION,
+    NODE_ATOL,
     ContinuousPart,
     JumpFunction,
     JumpSpec,
-    StepSpec,
     from_steps,
     load_descriptor,
     pure_step,
@@ -82,7 +79,7 @@ class TestEval:
     def test_point_values_within_tolerance(self, two_jump):
         for j in two_jump.jumps:
             x = j.x_float
-            xs = x + np.array([-0.9, -0.5, 0.0, 0.5, 0.9]) * JUMP_ATOL
+            xs = x + np.array([-0.9, -0.5, 0.0, 0.5, 0.9]) * NODE_ATOL
             assert two_jump.eval_many(xs).tolist() == [j.value] * 5
         # just outside the tolerance the one-sided limits apply again
         x = two_jump.jumps[0].x_float
@@ -108,51 +105,9 @@ class TestLimits:
         assert two_jump.one_sided_limits(float(Fraction(2, 3))) == (2.0, -1.0)
 
     def test_limits_differ_by_coefficient(self, two_jump):
-        for i, jump in enumerate(two_jump.jumps):
+        for jump in two_jump.jumps:
             left, right = two_jump.one_sided_limits(jump.x_float)
-            assert right - left == pytest.approx(
-                jump.step_coefficient(LAGRANGE_CONVENTION), abs=1e-12
-            )
-            assert left - right == pytest.approx(
-                jump.step_coefficient(SHEPARD_CONVENTION), abs=1e-12
-            )
-
-
-class TestDecompose:
-    def test_single_jump(self):
-        f = from_steps(ContinuousPart((0.0, 1.0)), [(0.5, 2.0, 1.3)], (0.0, 1.0))
-        remainder, steps = f.decompose()
-        assert remainder is f.base
-        (c, step), = steps
-        assert c == 2.0
-        assert step.orientation == LEFT0_RIGHT1
-
-    def test_pure_step_remainder_zero(self):
-        h = pure_step(0.0, 0.7, LEFT0_RIGHT1, (-1.0, 1.0))
-        remainder, steps = h.decompose()
-        xs = np.linspace(-1, 1, 21)
-        assert np.all(remainder.eval_many(xs) == 0.0)
-        assert len(steps) == 1
-
-    @pytest.mark.parametrize("convention", [LAGRANGE_CONVENTION, SHEPARD_CONVENTION])
-    def test_recombination_exact(self, two_jump, convention):
-        remainder, steps = two_jump.decompose(convention)
-        xs = np.linspace(0.0, 1.0, 1001)
-        recombined = remainder.eval_many(xs)
-        for c, step in steps:
-            recombined = recombined + c * step.eval_many(xs)
-        assert np.max(np.abs(recombined - two_jump.eval_many(xs))) < 1e-12
-        # including the jump points themselves
-        for jump in two_jump.jumps:
-            x = jump.x_float
-            total = remainder(x) + sum(c * step(x) for c, step in steps)
-            assert total == pytest.approx(jump.value, abs=1e-12)
-
-    def test_normalized_values_complementary(self, two_jump):
-        for jump in two_jump.jumps:
-            a = jump.normalized_value(LAGRANGE_CONVENTION)
-            b = jump.normalized_value(SHEPARD_CONVENTION)
-            assert a + b == pytest.approx(1.0, abs=1e-12)
+            assert right - left == pytest.approx(jump.right - jump.left, abs=1e-12)
 
 
 class TestValidation:
@@ -185,7 +140,7 @@ class TestValidation:
 
     def test_step_orientation_validated(self):
         with pytest.raises(ValueError):
-            StepSpec(x0=0.5, d=0.5, orientation="sideways", domain=(0.0, 1.0))
+            pure_step(0.5, 0.5, "sideways", (0.0, 1.0))
 
 
 class TestDescriptors:
@@ -198,6 +153,13 @@ class TestDescriptors:
         second = tmp_path / "fn2.json"
         save_descriptor(loaded, second)
         assert path.read_bytes() == second.read_bytes()
+
+    def test_jump_table_outside_identity(self, two_jump, tmp_path):
+        path = tmp_path / "fn.json"
+        save_descriptor(two_jump, path)
+        loaded = load_descriptor(path)
+        assert hash(loaded) == hash(two_jump)
+        assert "_locs" not in repr(two_jump) and "_offsets" not in repr(two_jump)
 
     def test_float_location_round_trip(self, tmp_path):
         f = from_steps(

@@ -141,6 +141,21 @@ class TestStepSweep:
             direct = shepard_at_jump(ShepardConfig(2.0, n), f, 0)
             assert values[n - 1] == pytest.approx(direct, abs=1e-10)
 
+    @pytest.mark.parametrize("p, n", [(50002, 100003), (499993, 999983), (1500008, 3000017)])
+    @pytest.mark.parametrize("s", [1.0, 2.0])
+    def test_float_node_at_large_n(self, p, n, s):
+        # n*x0 carries rounding of about eps*n*x0, past 1e-12 at these n;
+        # step_sweep and shepard_at_jump must still both see the node
+        x0 = p / n
+        h = pure_step(x0, 0.3, "left1_right0", (0.0, 1.0))
+        assert sigma_shepard(x0, n).is_node
+        assert step_sweep(h, s, [n])[0] == shepard_at_jump(ShepardConfig(s, n), h, 0) == 0.3
+
+    @pytest.mark.parametrize("s", [1.0, 2.0])
+    def test_irrational_location_never_a_node(self, s):
+        h = pure_step(math.sqrt(2) / 2, 0.3, "left1_right0", (0.0, 1.0))
+        assert not np.any(step_sweep(h, s, range(1, 10**6 + 1)) == 0.3)
+
     def test_rejects_unsupported_functions(self):
         two = from_steps(
             ContinuousPart((0.0,)),
