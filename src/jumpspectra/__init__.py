@@ -27,12 +27,10 @@ from .harness import (
 )
 from .lagrange import (
     ChebyshevGrid,
-    SigmaTrace,
     fundamental_eval,
     fundamental_weights,
     lagrange_at_jump,
     lagrange_eval,
-    sigma_lagrange,
 )
 from .piecewise import (
     ContinuousPart,
@@ -40,10 +38,11 @@ from .piecewise import (
     JumpSpec,
     from_steps,
     load_descriptor,
+    node_offsets,
     pure_step,
     save_descriptor,
 )
-from .shepard import ShepardConfig, shepard_at_jump, shepard_eval, sigma_shepard, step_sweep
+from .shepard import ShepardConfig, shepard_at_jump, shepard_eval, step_sweep
 from .specfun import (
     LimitProfile,
     ProfileMonotonicityError,

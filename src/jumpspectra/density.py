@@ -264,6 +264,14 @@ def set_index(
     return IndexEstimate(targets, profile, _plateau_estimate(ratios, stability_tol))
 
 
+def tail_values(values: np.ndarray, tail_fraction: float) -> np.ndarray:
+    """The values at positions from int((1 - tail_fraction) * N) on.
+
+    At least the last value is kept, however small tail_fraction is.
+    """
+    return values[min(int((1.0 - tail_fraction) * values.size), values.size - 1):]
+
+
 def detect_clusters(
     prefix: SequencePrefix,
     gap: float = DEFAULT_GAP,
@@ -289,10 +297,7 @@ def detect_clusters(
         raise ValueError("gap must be positive")
     if not 0 < tail_fraction <= 1:
         raise ValueError("tail_fraction must be in (0, 1]")
-    values = prefix.values
-    n_total = values.size
-    start = int((1.0 - tail_fraction) * n_total)
-    tail = np.sort(values[start:])
+    tail = np.sort(tail_values(prefix.values, tail_fraction))
     cuts = np.nonzero(np.diff(tail) > gap)[0]
     groups = np.split(tail, cuts + 1)
     centers = [float(np.mean(g)) for g in groups]

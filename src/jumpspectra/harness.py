@@ -15,8 +15,9 @@ Comparison logic:
     limit profile on the tail values and measuring the Kolmogorov-Smirnov
     distance of the result against the uniform distribution.
 
-CSV rows carry the exact node offset (sigma_num/sigma_den) whenever the
-location is rational, the float offset otherwise.
+CSV rows carry the node offset from piecewise.node_offsets, computed once
+per run: exact and reduced (sigma_num/sigma_den) whenever the location is
+rational, the float offset otherwise.
 """
 
 from __future__ import annotations
@@ -40,10 +41,11 @@ from .density import (
     SequencePrefix,
     _validate_grid,
     detect_clusters,
+    tail_values,
 )
-from .lagrange import ChebyshevGrid, lagrange_at_jump, sigma_lagrange
-from .piecewise import JumpFunction, pure_step
-from .shepard import ShepardConfig, shepard_at_jump, sigma_shepard, step_sweep
+from .lagrange import ChebyshevGrid, lagrange_at_jump
+from .piecewise import JumpFunction, node_offsets, pure_step
+from .shepard import ShepardConfig, shepard_at_jump, step_sweep
 from .specfun import SHEPARD_S_MAX, SHEPARD_S_MIN
 from .theory import (
     Irrational,
@@ -205,15 +207,6 @@ class ExperimentConfig:
         if self.operator == SHEPARD:
             out["s"] = self.s
         return out
-
-
-def _sigma_trace(cfg: ExperimentConfig, n: int):
-    if cfg.operator == LAGRANGE:
-        theta0 = cfg.location_ratio()
-        if isinstance(theta0, Fraction):
-            return sigma_lagrange(theta0, n)
-        return sigma_lagrange(math.pi * theta0, n)
-    return sigma_shepard(cfg.location_ratio(), n)
 
 
 def run_sequence(cfg: ExperimentConfig) -> SequencePrefix:
@@ -380,9 +373,7 @@ def compare(cfg: ExperimentConfig) -> ComparisonReport:
     }
     if spectrum.continuous is not None:
         cont = spectrum.continuous
-        n_tail = int(len(prefix.values) * tail_fraction)
-        tail = prefix.values[-n_tail:]
-        t = (tail - cont.alpha) / cont.beta
+        t = (tail_values(prefix.values, tail_fraction) - cont.alpha) / cont.beta
         u = cont.profile.invert_many(t)
         ks = ks_uniform_distance(u)
         return ComparisonReport(
@@ -423,30 +414,24 @@ def compare(cfg: ExperimentConfig) -> ComparisonReport:
 # ---------------------------------------------------------------------------
 
 def run_rows(cfg: ExperimentConfig, prefix: SequencePrefix) -> list[dict]:
-    rational = isinstance(cfg.location, Fraction)
-    rows = []
-    for n, value in zip(cfg.ns(), prefix.values):
-        trace = _sigma_trace(cfg, n)
-        if rational:
-            rows.append(
-                {
-                    "n": n,
-                    "sigma_num": trace.sigma.numerator,
-                    "sigma_den": trace.sigma.denominator,
-                    "is_node": int(trace.is_node),
-                    "value": float(value),
-                }
-            )
-        else:
-            rows.append(
-                {
-                    "n": n,
-                    "sigma_float": float(trace.sigma),
-                    "is_node": int(trace.is_node),
-                    "value": float(value),
-                }
-            )
-    return rows
+    """One row per n: the node offset, the node decision and the value."""
+    ns = np.fromiter(cfg.ns(), dtype=int)
+    ratio, shift = cfg.location_ratio(), 0
+    if cfg.operator == LAGRANGE:
+        shift = 0.5
+        if not isinstance(ratio, Fraction):
+            # the ratio lagrange_at_jump derives from the angle run_sequence
+            # passes it, so each row's node decision is the one behind its value
+            ratio = math.pi * ratio / math.pi
+    _, num, den, is_node = node_offsets(ratio, ns, shift)
+    if isinstance(ratio, Fraction):
+        g = np.gcd(num, den)
+        sigma = {"sigma_num": num // g, "sigma_den": den // g}
+    else:
+        sigma = {"sigma_float": num}
+    columns = {"n": ns, **sigma, "is_node": is_node.astype(int), "value": prefix.values}
+    names = list(columns)
+    return [dict(zip(names, row)) for row in zip(*(c.tolist() for c in columns.values()))]
 
 
 def write_run_csv(cfg: ExperimentConfig, prefix: SequencePrefix, path) -> None:

@@ -29,11 +29,11 @@ so b_k is exact to one rounding however close theta sits to a node; a float
 angle uses (theta_k -+ theta)/2 directly.  The O(n^2) product form is
 retained only as a test oracle.
 
-Node-offset bookkeeping for a jump location x0 = cos(theta0) tracks
+The node offset of a jump location x0 = cos(theta0) is
 sigma_n = frac(n*theta0/pi + 1/2), the fractional position of theta0 inside
-the n-th node grid.  When theta0/pi is the exact rational p/q the offsets
-are computed in integer arithmetic, because the node-coincidence dichotomy
-(sigma_n = 0) is arithmetic, not numeric.
+the n-th node grid; piecewise.node_offsets computes it (shift 1/2), in
+integer arithmetic when theta0/pi is the exact rational p/q, because the
+node-coincidence dichotomy (sigma_n = 0) is arithmetic, not numeric.
 
 Everything is pure; grids are immutable and evaluation across n is safe to
 parallelize.
@@ -42,12 +42,11 @@ parallelize.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .piecewise import NODE_ATOL, JumpFunction, _float_offset
+from .piecewise import NODE_ATOL, JumpFunction, node_offsets
 
 
 class ChebyshevGrid:
@@ -62,37 +61,6 @@ class ChebyshevGrid:
 
     def __repr__(self):
         return f"ChebyshevGrid(n={self.n})"
-
-
-@dataclass(frozen=True)
-class SigmaTrace:
-    """Fractional node offset of a target location inside the n-th grid."""
-
-    n: int
-    k0: int
-    sigma: object  # Fraction on the exact path, float otherwise
-    is_node: bool
-
-
-def sigma_lagrange(theta0, n: int) -> SigmaTrace:
-    """Node offset sigma_n = frac(n*theta0/pi + 1/2) for angle theta0.
-
-    theta0 is either a Fraction p/q meaning theta0 = pi*p/q (exact integer
-    path; normalized to lowest terms) or a float angle in (0, pi), whose
-    node decision follows the offset rule of the piecewise module.
-    """
-    if isinstance(theta0, Fraction):
-        p, q = theta0.numerator, theta0.denominator
-        if not 0 < p < q:
-            raise ValueError("rational angle must satisfy 0 < p/q < 1")
-        r = (2 * n * p + q) % (2 * q)
-        k0 = (2 * n * p + q) // (2 * q)
-        return SigmaTrace(n=n, k0=k0, sigma=Fraction(r, 2 * q), is_node=(r == 0))
-    theta0 = float(theta0)
-    if not 0.0 < theta0 < math.pi:
-        raise ValueError("theta0 must lie in (0, pi)")
-    k0, sigma, is_node = _float_offset(n * (theta0 / math.pi) + 0.5)
-    return SigmaTrace(n=n, k0=k0, sigma=sigma, is_node=is_node)
 
 
 def _coincident_node(grid: ChebyshevGrid, x: float, theta: float):
@@ -207,8 +175,8 @@ def lagrange_at_jump(
     jump = f.jumps[jump_index]
     if theta0 is None:
         theta0 = math.acos(jump.x_float)
-    trace = sigma_lagrange(theta0, grid.n)
-    if trace.is_node:
+    ratio = theta0 if isinstance(theta0, Fraction) else theta0 / math.pi
+    if node_offsets(ratio, grid.n, 0.5)[3]:
         return jump.value
     if isinstance(theta0, Fraction):
         p, q = theta0.numerator, theta0.denominator

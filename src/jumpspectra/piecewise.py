@@ -10,24 +10,22 @@ Evaluation is exact: away from the jumps f(x) = base(x) plus the sum of
 the jump amounts to the left of x, and at a declared jump location f
 returns the declared point value.
 
-Node-coincidence policy, shared by the whole package.  Whether a point is a
-jump location or a grid node is decided by integer arithmetic whenever the
-location is an exact rational (lagrange.sigma_lagrange,
-shepard.sigma_shepard); no tolerance applies there.  Float points use two
-tolerances, both defined here:
+Node-coincidence policy, shared by the whole package.  A jump location is a
+node of the n-th grid when its offset sigma_n = frac(t_n) is 0, with
+t_n = n*x0 (Shepard) or n*theta0/pi + 1/2 (Lagrange).  node_offsets is the
+one site of both rules for that decision:
 
-  * NODE_ATOL: a point within NODE_ATOL of a jump location or a grid node
-    is that point, so a node computed through a different floating-point
-    route still picks up the jump's point value or the cardinal weights;
-  * OFFSET_TOL: a float location is a node of the n-th grid when its
-    offset sigma_n = frac(t), with t = n*x0 (Shepard) or
-    n*theta0/pi + 1/2 (Lagrange), lies within max(OFFSET_TOL, 4*eps*t) of
-    an integer.  The 4*eps*t term bounds the rounding that t itself
-    carries, about eps*t, which passes OFFSET_TOL once t exceeds about
+  * exact rational location p/q: integer arithmetic, sigma_n = 0 exactly
+    when the denominator divides the numerator of t_n; no tolerance;
+  * float location: t_n lies within max(OFFSET_TOL, 4*eps*t_n) of an
+    integer.  The 4*eps*t_n term bounds the rounding that t_n itself
+    carries, about eps*t_n, which passes OFFSET_TOL once t_n exceeds about
     4500.
 
-_float_offset applies the offset rule to one t, shepard.step_sweep to an
-array of them.
+NODE_ATOL is the other float tolerance: a point within NODE_ATOL of a jump
+location or a grid node is that point, so a node computed through a
+different floating-point route still picks up the jump's point value or
+the cardinal weights.
 
 Jump locations may be exact rationals (Fraction) or floats; the rational
 form is preserved so that downstream node-offset arithmetic stays exact.
@@ -46,26 +44,43 @@ import numpy as np
 
 NODE_ATOL = 1e-13
 OFFSET_TOL = 1e-12
+_INT64_MAX = np.iinfo(np.int64).max
 
 LEFT0_RIGHT1 = "left0_right1"
 LEFT1_RIGHT0 = "left1_right0"
 
 
-def _offset_tol(t):
-    """Node tolerance for the offset frac(t); elementwise on arrays."""
-    return np.maximum(OFFSET_TOL, 4 * np.finfo(float).eps * t)
+def node_offsets(ratio, n, shift):
+    """(k0, num, den, is_node) for t_n = n*ratio + shift, sigma_n = num/den.
 
-
-def _float_offset(t: float) -> tuple[int, float, bool]:
-    """(k0, sigma, is_node) for sigma = frac(t), under the offset rule.
-
-    A node has sigma = 0 and k0 the nearest integer to t.
+    n is an int or an integer array; shift is 0 (Shepard, ratio = x0) or
+    1/2 (Lagrange, ratio = theta0/pi).  k0 = floor(t_n) and sigma_n =
+    t_n - k0, except at a float node, where sigma_n = 0 and k0 is the
+    nearest integer.  A Fraction ratio p/q gives integers with den = q or
+    2q and is_node = (num == 0); when the numerator of t_n could pass int64,
+    the arithmetic runs on Python ints (object arrays).  A float ratio gives
+    den = 1 and the tolerance rule of the policy above.
     """
-    k0 = math.floor(t)
-    sigma = t - k0
-    if min(sigma, 1.0 - sigma) < _offset_tol(t):
-        return round(t), 0.0, True
-    return k0, sigma, False
+    if not 0 <= ratio <= 1:
+        raise ValueError("location ratio must lie in [0, 1]")
+    if shift not in (0, 0.5):
+        raise ValueError("shift must be 0 or 1/2")
+    if isinstance(ratio, Fraction):
+        p, q = ratio.numerator, ratio.denominator
+        m = 2 if shift else 1
+        if isinstance(n, np.ndarray) and n.size and m * int(n.max()) * p + q > _INT64_MAX:
+            n = n.astype(object)
+        t = n * (m * p)
+        if shift:
+            t += q
+        num = t % (m * q)
+        return t // (m * q), num, m * q, num == 0
+    t = n * float(ratio) + shift
+    k0 = np.floor(t)
+    num = t - k0
+    is_node = np.minimum(num, 1.0 - num) < np.maximum(OFFSET_TOL, 4 * np.finfo(float).eps * t)
+    k0 = (k0 + (is_node & (num > 0.5))).astype(int)
+    return k0, np.where(is_node, 0.0, num), 1, is_node
 
 
 @dataclass(frozen=True)

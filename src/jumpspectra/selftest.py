@@ -17,9 +17,8 @@ from .lagrange import (
     fundamental_product_reference,
     fundamental_weights,
     lagrange_eval,
-    sigma_lagrange,
 )
-from .piecewise import ContinuousPart, JumpFunction, pure_step
+from .piecewise import ContinuousPart, JumpFunction, node_offsets, pure_step
 from .shepard import ShepardConfig, shepard_eval
 from .specfun import (
     hurwitz_zeta,
@@ -86,7 +85,8 @@ def run_selftest() -> list[dict]:
         checks.append(_check(f"{label} symmetry + monotone gate", sym < 1e-10, f"max |sym-1| = {sym:.2e}"))
 
     # sigma cycle for theta0 = pi/3
-    cycle = [sigma_lagrange(Fraction(1, 3), n).sigma for n in range(1, 7)]
+    _, num, den, _ = node_offsets(Fraction(1, 3), np.arange(1, 7), 0.5)
+    cycle = [Fraction(r, den) for r in num.tolist()]
     expect = [Fraction(5, 6), Fraction(1, 6), Fraction(1, 2)] * 2
     checks.append(_check("sigma cycle theta0=pi/3", cycle == expect, str(cycle)))
 

@@ -8,9 +8,10 @@ sampled range.  Weights are computed with the minimum distance factored
 out, (d_min/d_k)^s, which cannot overflow for any s in the supported box
 [1, 20].
 
-Node coincidences for a rational evaluation point x0 = p/q are decided by
-integer divisibility (q | n p), never by floating-point closeness; the
-float path follows the offset rule of the piecewise module.
+Node coincidences are decided by piecewise.node_offsets (shift 0): by
+integer divisibility (q | n p) for a rational evaluation point x0 = p/q,
+never by floating-point closeness, and by the offset rule of the piecewise
+module for a float point.
 
 step_sweep evaluates the operator at the jump of a single-jump,
 constant-base function for a whole range of n at once.  It rearranges the
@@ -26,13 +27,11 @@ s; the rearrangement is equality-tested against shepard_eval.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 from scipy.special import digamma, zeta
 
-from .lagrange import SigmaTrace
-from .piecewise import OFFSET_TOL, JumpFunction, _float_offset, _offset_tol
+from .piecewise import OFFSET_TOL, JumpFunction, node_offsets
 from .specfun import SHEPARD_S_MAX, SHEPARD_S_MIN
 
 
@@ -56,31 +55,13 @@ class ShepardConfig:
         return np.arange(self.n + 1) / self.n
 
 
-def sigma_shepard(x0, n: int) -> SigmaTrace:
-    """Node offset sigma_n = frac(n*x0); exact when x0 is a Fraction."""
-    if isinstance(x0, Fraction):
-        p, q = x0.numerator, x0.denominator
-        if not 0 <= p <= q:
-            raise ValueError("rational location must satisfy 0 <= p/q <= 1")
-        r = (n * p) % q
-        return SigmaTrace(n=n, k0=(n * p) // q, sigma=Fraction(r, q), is_node=(r == 0))
-    x0 = float(x0)
-    if not 0.0 <= x0 <= 1.0:
-        raise ValueError("location must lie in [0, 1]")
-    k0, sigma, is_node = _float_offset(n * x0)
-    return SigmaTrace(n=n, k0=k0, sigma=sigma, is_node=is_node)
-
-
 def shepard_eval(cfg: ShepardConfig, f: JumpFunction, x) -> float:
     """Operator value at x in [0, 1]; reproduces f exactly at grid nodes."""
-    trace = sigma_shepard(x, cfg.n)
-    xf = float(x)
-    if not 0.0 <= xf <= 1.0:
-        raise ValueError("argument must lie in [0, 1]")
-    if trace.is_node:
-        return f.eval(trace.k0 / cfg.n)
+    k0, _, _, is_node = node_offsets(x, cfg.n, 0)
+    if is_node:
+        return f.eval(k0 / cfg.n)
     nodes = cfg.nodes
-    dist = np.abs(xf - nodes)
+    dist = np.abs(float(x) - nodes)
     dmin = dist.min()
     if dmin < OFFSET_TOL:  # division guard: keeps (dmin/dist)**s off 0/0
         return f.eval(nodes[int(np.argmin(dist))])
@@ -97,8 +78,7 @@ def shepard_at_jump(cfg: ShepardConfig, f: JumpFunction, jump_index: int, x0=Non
     jump = f.jumps[jump_index]
     if x0 is None:
         x0 = jump.x
-    trace = sigma_shepard(x0, cfg.n)
-    if trace.is_node:
+    if node_offsets(x0, cfg.n, 0)[3]:
         return jump.value
     return shepard_eval(cfg, f, float(x0))
 
@@ -136,25 +116,21 @@ def step_sweep(f: JumpFunction, s: float, n_values) -> np.ndarray:
         )
     jump = f.jumps[0]
     n_arr = np.fromiter(n_values, dtype=int)
-    if isinstance(jump.x, Fraction):
-        p, q = jump.x.numerator, jump.x.denominator
-        r = (n_arr * p) % q
-        k0 = (n_arr * p) // q
-        sigma = r / q
-        node = r == 0
-    else:
-        t = n_arr * float(jump.x)
-        k0_f = np.floor(t)
-        sigma = t - k0_f
-        node = np.minimum(sigma, 1.0 - sigma) < _offset_tol(t)
-        k0 = k0_f.astype(int)
-    out = np.empty(n_arr.size, dtype=float)
-    out[node] = jump.value
+    k0, num, den, node = node_offsets(jump.x, n_arr, 0)
     live = ~node
-    if np.any(live):
-        # rebinding frees the full-length arrays before the sums, which keeps
-        # the sweep's peak memory at n ~ 10^6 two arrays lower
-        sigma, k0, n_arr = sigma[live], k0[live].astype(float), n_arr[live].astype(float)
-        a, b = _sweep_sums(sigma, k0, n_arr, float(s))
-        out[live] = (jump.left * a + jump.right * b) / (a + b)
+    # rebinding frees the full-length arrays before the sums, which keeps
+    # the sweep's peak memory at n ~ 10^6 two arrays lower; asarray turns
+    # the Python-int quotients of a large p/q into doubles
+    num, k0, n_arr = (
+        np.asarray(num[live] / den, dtype=float),
+        k0[live].astype(float),
+        n_arr[live].astype(float),
+    )
+    a, b = _sweep_sums(num, k0, n_arr, float(s))
+    values = (jump.left * a + jump.right * b) / (a + b)
+    # allocated last, out sits above the freed temporaries, so the heap keeps
+    # them for the caller's next arrays; allocated first, it let the heap
+    # return them and cost compare about 4e4 page faults at n = 10^6
+    out = np.full(node.size, jump.value)
+    out[live] = values
     return out

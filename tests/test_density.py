@@ -14,6 +14,7 @@ from jumpspectra.density import (
     index_sum_audit,
     lower_density,
     set_index,
+    tail_values,
     upper_density,
 )
 
@@ -239,6 +240,13 @@ class TestClusters:
             detect_clusters(cos_prefix(100), gap=0.0)
         with pytest.raises(ValueError):
             detect_clusters(cos_prefix(100), tail_fraction=0.0)
+
+    @pytest.mark.parametrize(
+        "fraction, start", [(1.0, 0), (0.5, 300), (0.001, 599), (1e-17, 599)]
+    )
+    def test_tail_holds_at_least_one_value(self, fraction, start):
+        values = np.arange(600.0)
+        assert np.array_equal(tail_values(values, fraction), values[start:])
 
     def test_centers_separated_by_gap(self):
         rng = np.random.default_rng(7)

@@ -14,6 +14,7 @@ from jumpspectra.harness import (
     compare,
     ks_uniform_distance,
     predict,
+    run_rows,
     run_sequence,
     write_comparison_json,
     write_run_csv,
@@ -171,6 +172,19 @@ class TestCompare:
         assert not report.passed
 
 
+    def test_small_tail_fraction_grades_the_last_value(self):
+        # int(600 * 0.001) = 0: the KS tail and the clustering tail are both
+        # the last value, not the whole prefix
+        cfg = ExperimentConfig(
+            "shepard", Irrational(math.sqrt(2) / 2), n_max=600, tail_fraction=0.001
+        )
+        report = compare(cfg)
+        cont = report.predicted.continuous
+        u = cont.profile.invert_many((report.prefix.values[-1:] - cont.alpha) / cont.beta)
+        assert report.ks_distance == ks_uniform_distance(u) >= 0.5
+        assert sum(c.count for c in report.empirical.clusters) <= 1
+
+
 class TestKS:
     def test_uniform_sample_small_distance(self):
         u = (np.arange(2000) + 0.5) / 2000
@@ -234,6 +248,34 @@ class TestOutputs:
         write_run_csv(cfg, run_sequence(cfg), a)
         write_run_csv(cfg, run_sequence(cfg), b)
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestRunRows:
+    @pytest.mark.parametrize(
+        "operator, location, n_max",
+        [
+            ("lagrange", Fraction(1, 2), 300),
+            ("lagrange", Fraction(3, 8), 300),
+            ("shepard", Fraction(2, 5), 300),
+            ("shepard", Irrational(math.sqrt(2) / 2), 300),
+            # float locations on a node of one grid: n = 101, k = 30 and
+            # x0 = 50002/100003 at n = 100003
+            ("lagrange", Irrational(59 / 202), 202),
+            ("shepard", Irrational(50002 / 100003), 100003),
+        ],
+    )
+    def test_rows_and_values_share_the_node_decision(self, operator, location, n_max):
+        cfg = ExperimentConfig(operator, location, d=0.3, n_max=n_max)
+        rows = run_rows(cfg, run_sequence(cfg))
+        assert [r["is_node"] for r in rows] == [int(r["value"] == 0.3) for r in rows]
+        if isinstance(location, Fraction):
+            shift = Fraction(1, 2) if operator == "lagrange" else 0
+            for r in rows:
+                t = r["n"] * location + shift
+                sigma = t - math.floor(t)
+                assert (r["sigma_num"], r["sigma_den"]) == (sigma.numerator, sigma.denominator)
+        else:
+            assert sum(r["is_node"] for r in rows) == (n_max != 300)
 
 
 class TestCli:

@@ -13,9 +13,14 @@ from jumpspectra.lagrange import (
     fundamental_weights,
     lagrange_at_jump,
     lagrange_eval,
-    sigma_lagrange,
 )
-from jumpspectra.piecewise import ContinuousPart, JumpFunction, from_steps, pure_step
+from jumpspectra.piecewise import (
+    ContinuousPart,
+    JumpFunction,
+    from_steps,
+    node_offsets,
+    pure_step,
+)
 from jumpspectra.specfun import g_lagrange
 
 from oracles import product_basis
@@ -142,42 +147,46 @@ class TestInterpolation:
 
 class TestSigma:
     def test_middle_node(self):
-        trace = sigma_lagrange(Fraction(1, 2), 1)
-        assert trace.is_node and trace.sigma == 0
+        _, num, den, is_node = node_offsets(Fraction(1, 2), 1, 0.5)
+        assert is_node and Fraction(num, den) == 0
 
     def test_half_offset(self):
-        trace = sigma_lagrange(Fraction(1, 2), 2)
-        assert trace.sigma == Fraction(1, 2) and not trace.is_node
+        _, num, den, is_node = node_offsets(Fraction(1, 2), 2, 0.5)
+        assert Fraction(num, den) == Fraction(1, 2) and not is_node
 
     def test_third_cycle(self):
-        got = [sigma_lagrange(Fraction(1, 3), n).sigma for n in range(1, 7)]
+        _, num, den, _ = node_offsets(Fraction(1, 3), np.arange(1, 7), 0.5)
+        got = [Fraction(r, den) for r in num.tolist()]
         assert got == [Fraction(5, 6), Fraction(1, 6), Fraction(1, 2)] * 2
-        assert not any(sigma_lagrange(Fraction(1, 3), n).is_node for n in range(1, 50))
+        assert not node_offsets(Fraction(1, 3), np.arange(1, 50), 0.5)[3].any()
 
     def test_even_denominator_hits_nodes(self):
-        nodes = [n for n in range(1, 20) if sigma_lagrange(Fraction(1, 2), n).is_node]
+        ns = np.arange(1, 20)
+        nodes = ns[node_offsets(Fraction(1, 2), ns, 0.5)[3]].tolist()
         assert nodes == [1, 3, 5, 7, 9, 11, 13, 15, 17, 19]
 
     def test_float_path_agrees(self):
+        # the ratio lagrange_at_jump derives from the float angle pi/3
+        ratio = (math.pi / 3) / math.pi
         for n in range(1, 30):
-            exact = sigma_lagrange(Fraction(1, 3), n)
-            approx = sigma_lagrange(math.pi / 3, n)
-            assert approx.is_node == exact.is_node
-            assert approx.sigma == pytest.approx(float(exact.sigma), abs=1e-9)
-            assert approx.k0 == exact.k0
+            k0, num, den, is_node = node_offsets(Fraction(1, 3), n, 0.5)
+            approx = node_offsets(ratio, n, 0.5)
+            assert approx[3] == is_node
+            assert approx[1] == pytest.approx(num / den, abs=1e-9)
+            assert approx[0] == k0
 
     @pytest.mark.parametrize("n, k", [(4099, 1000), (100003, 30001), (3000017, 1000001)])
     def test_float_node_at_large_n(self, n, k):
         # theta0 = theta_{n,k} in floating point: t = n*theta0/pi + 1/2 carries
         # rounding of about eps*t, past 1e-12 at the largest n
-        trace = sigma_lagrange(math.pi * (2 * k - 1) / (2 * n), n)
-        assert trace.is_node and trace.k0 == k and trace.sigma == 0.0
+        k0, sigma, _, is_node = node_offsets(math.pi * (2 * k - 1) / (2 * n) / math.pi, n, 0.5)
+        assert is_node and k0 == k and sigma == 0.0
 
     def test_angle_validation(self):
         with pytest.raises(ValueError):
-            sigma_lagrange(Fraction(3, 2), 5)
+            node_offsets(Fraction(3, 2), 5, 0.5)
         with pytest.raises(ValueError):
-            sigma_lagrange(4.0, 5)
+            node_offsets(4.0 / math.pi, 5, 0.5)
 
 
 class TestAtJump:
@@ -195,7 +204,8 @@ class TestAtJump:
     def test_sixth_offset_approaches_profile(self):
         h = pure_step(0.5, 0.3, "left0_right1", (-1.0, 1.0))
         value = lagrange_at_jump(ChebyshevGrid(2000), h, 0, Fraction(1, 3))
-        assert sigma_lagrange(Fraction(1, 3), 2000).sigma == Fraction(1, 6)
+        _, num, den, _ = node_offsets(Fraction(1, 3), 2000, 0.5)
+        assert Fraction(num, den) == Fraction(1, 6)
         assert abs(value - g_lagrange(1 / 6)) < 1e-3
 
     def test_matches_generic_eval(self):
@@ -238,7 +248,7 @@ class TestAtJump:
         h = pure_step(math.cos(angle), 0.3, "left0_right1", (-1.0, 1.0))
         grid = ChebyshevGrid(n)
         exact = lagrange_at_jump(grid, h, 0, Fraction(p, q))
-        if sigma_lagrange(Fraction(p, q), n).is_node:
+        if node_offsets(Fraction(p, q), n, 0.5)[3]:
             assert exact == 0.3
             assert lagrange_at_jump(grid, h, 0, angle) == 0.3
         else:

@@ -1,8 +1,11 @@
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jumpspectra.piecewise import (
     LEFT0_RIGHT1,
@@ -13,6 +16,7 @@ from jumpspectra.piecewise import (
     JumpSpec,
     from_steps,
     load_descriptor,
+    node_offsets,
     pure_step,
     save_descriptor,
     to_descriptor_dict,
@@ -178,3 +182,53 @@ class TestDescriptors:
         assert set(data) == {"domain", "poly", "trig", "jumps"}
         assert data["jumps"][0]["x"] == {"num": 1, "den": 3}
         assert json.dumps(data)  # serializable
+
+
+@st.composite
+def unit_fractions(draw):
+    """p/q in [0, 1] with q spread over every magnitude up to 10^18."""
+    e = draw(st.integers(min_value=0, max_value=17))
+    q = draw(st.integers(min_value=10**e, max_value=10 ** (e + 1)))
+    p = draw(st.integers(min_value=0, max_value=q))
+    return Fraction(q - p if draw(st.booleans()) else p, q)
+
+
+class TestNodeOffsets:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        ratio=unit_fractions(),
+        ns=st.lists(st.integers(min_value=1, max_value=10**6), min_size=1, max_size=20),
+        shift=st.sampled_from([0, 0.5]),
+    )
+    def test_exact_path_matches_definition(self, ratio, ns, shift):
+        # large q take n*p past int64, onto the Python-int path
+        k0, num, den, is_node = node_offsets(ratio, np.array(ns), shift)
+        for i, n in enumerate(ns):
+            t = n * ratio + Fraction(shift)
+            floor = math.floor(t)
+            expected = (floor, t - floor, t == floor)
+            assert (k0[i], Fraction(num[i], den), is_node[i]) == expected
+            k, r, d, node = node_offsets(ratio, n, shift)
+            assert (k, Fraction(r, d), node) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        q=st.integers(min_value=1, max_value=50),
+        p_seed=st.integers(min_value=0, max_value=50),
+        ns=st.lists(st.integers(min_value=1, max_value=3000), min_size=1, max_size=50),
+        shift=st.sampled_from([0, 0.5]),
+    )
+    def test_float_path_agrees_with_exact(self, q, p_seed, ns, shift):
+        p = p_seed % (q + 1)
+        k0, _, _, is_node = node_offsets(Fraction(p, q), np.array(ns), shift)
+        k0_f, _, _, is_node_f = node_offsets(p / q, np.array(ns), shift)
+        assert is_node_f.tolist() == is_node.tolist()
+        assert k0_f.tolist() == k0.tolist()
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            node_offsets(Fraction(4, 3), 5, 0)
+        with pytest.raises(ValueError):
+            node_offsets(-0.25, 5, 0.5)
+        with pytest.raises(ValueError):
+            node_offsets(0.25, 5, 0.25)

@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jumpspectra.piecewise import ContinuousPart, JumpFunction, from_steps, pure_step
-from jumpspectra.shepard import (
-    ShepardConfig,
-    shepard_at_jump,
-    shepard_eval,
-    sigma_shepard,
-    step_sweep,
+from jumpspectra.piecewise import (
+    ContinuousPart,
+    JumpFunction,
+    from_steps,
+    node_offsets,
+    pure_step,
 )
+from jumpspectra.shepard import ShepardConfig, shepard_at_jump, shepard_eval, step_sweep
 from jumpspectra.specfun import g_shepard
 
 H_HALF = pure_step(Fraction(1, 2), 0.3, "left1_right0", (0.0, 1.0))
@@ -70,20 +70,21 @@ class TestEval:
 
 class TestSigma:
     def test_half(self):
-        assert sigma_shepard(Fraction(1, 2), 4).is_node
-        trace = sigma_shepard(Fraction(1, 2), 5)
-        assert trace.sigma == Fraction(1, 2) and not trace.is_node
+        assert node_offsets(Fraction(1, 2), 4, 0)[3]
+        _, num, den, is_node = node_offsets(Fraction(1, 2), 5, 0)
+        assert Fraction(num, den) == Fraction(1, 2) and not is_node
 
     def test_third_cycle(self):
-        got = [sigma_shepard(Fraction(1, 3), n).sigma for n in range(1, 10)]
+        _, num, den, _ = node_offsets(Fraction(1, 3), np.arange(1, 10), 0)
+        got = [Fraction(r, den) for r in num.tolist()]
         assert got == [Fraction(1, 3), Fraction(2, 3), 0] * 3
 
     def test_float_path(self):
         for n in range(1, 30):
-            exact = sigma_shepard(Fraction(1, 3), n)
-            approx = sigma_shepard(1 / 3, n)
-            assert approx.is_node == exact.is_node
-            assert approx.sigma == pytest.approx(float(exact.sigma), abs=1e-9)
+            _, num, den, is_node = node_offsets(Fraction(1, 3), n, 0)
+            approx = node_offsets(1 / 3, n, 0)
+            assert approx[3] == is_node
+            assert approx[1] == pytest.approx(num / den, abs=1e-9)
 
 
 class TestAtJump:
@@ -148,8 +149,22 @@ class TestStepSweep:
         # step_sweep and shepard_at_jump must still both see the node
         x0 = p / n
         h = pure_step(x0, 0.3, "left1_right0", (0.0, 1.0))
-        assert sigma_shepard(x0, n).is_node
+        assert node_offsets(x0, n, 0)[3]
         assert step_sweep(h, s, [n])[0] == shepard_at_jump(ShepardConfig(s, n), h, 0) == 0.3
+
+    @pytest.mark.parametrize(
+        "p, q, ns",
+        [
+            (10**17 + 1, 3 * 10**17 + 7, (64, 100, 1000)),
+            (10**13 + 1, 10**13 + 3, (10**6,)),
+        ],
+    )
+    def test_large_numerator_does_not_overflow(self, p, q, ns):
+        # n*p passes int64 from n = 100 (first case) and at n = 10^6 (second)
+        h = pure_step(Fraction(p, q), 0.3, "left1_right0", (0.0, 1.0))
+        values = step_sweep(h, 2.0, ns)
+        for n, value in zip(ns, values):
+            assert value == pytest.approx(shepard_at_jump(ShepardConfig(2.0, n), h, 0), abs=1e-10)
 
     @pytest.mark.parametrize("s", [1.0, 2.0])
     def test_irrational_location_never_a_node(self, s):
