@@ -413,8 +413,8 @@ def compare(cfg: ExperimentConfig) -> ComparisonReport:
 # output
 # ---------------------------------------------------------------------------
 
-def run_rows(cfg: ExperimentConfig, prefix: SequencePrefix) -> list[dict]:
-    """One row per n: the node offset, the node decision and the value."""
+def _run_columns(cfg: ExperimentConfig, prefix: SequencePrefix) -> dict[str, list]:
+    """The run's columns by name: n, the node offset, is_node and value."""
     ns = np.fromiter(cfg.ns(), dtype=int)
     ratio, shift = cfg.location_ratio(), 0
     if cfg.operator == LAGRANGE:
@@ -430,16 +430,21 @@ def run_rows(cfg: ExperimentConfig, prefix: SequencePrefix) -> list[dict]:
     else:
         sigma = {"sigma_float": num}
     columns = {"n": ns, **sigma, "is_node": is_node.astype(int), "value": prefix.values}
-    names = list(columns)
-    return [dict(zip(names, row)) for row in zip(*(c.tolist() for c in columns.values()))]
+    return {name: column.tolist() for name, column in columns.items()}
+
+
+def run_rows(cfg: ExperimentConfig, prefix: SequencePrefix) -> list[dict]:
+    """One row per n: the node offset, the node decision and the value."""
+    columns = _run_columns(cfg, prefix)
+    return [dict(zip(columns, row)) for row in zip(*columns.values())]
 
 
 def write_run_csv(cfg: ExperimentConfig, prefix: SequencePrefix, path) -> None:
-    rows = run_rows(cfg, prefix)
+    columns = _run_columns(cfg, prefix)
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(zip(*columns.values()))
 
 
 def write_run_json(cfg: ExperimentConfig, prefix: SequencePrefix, path) -> None:

@@ -17,10 +17,10 @@ difference:
 
     ell_{n,k} = cos(n theta)/(2n) * (cot a_k + cot b_k) * (-1)^(k-1).
 
-All evaluations (fundamental_weights, lagrange_eval, lagrange_at_jump) go
-through that one kernel.  Near coincidence b_k is small and carries the
-whole singularity, so its relative accuracy sets the accuracy of the sum.
-When theta = pi p/q is an exact rational angle, lagrange_at_jump forms the
+fundamental_weights, lagrange_eval and lagrange_at_jump all evaluate that
+one kernel.  Near coincidence b_k is small and carries the whole
+singularity, so its relative accuracy sets the accuracy of the sum.  When
+theta = pi p/q is an exact rational angle, lagrange_at_jump forms the
 half-angles from exact integer numerators,
 
     (theta_k -+ theta)/2 = pi ((2k-1) q -+ 2np) / (4nq),
@@ -28,6 +28,17 @@ half-angles from exact integer numerators,
 so b_k is exact to one rounding however close theta sits to a node; a float
 angle uses (theta_k -+ theta)/2 directly.  The O(n^2) product form is
 retained only as a test oracle.
+
+At a pure step (one jump on a constant base, JumpFunction.is_step) the
+nodes on each side of the jump all sample one limit, and sum_k ell_{n,k} = 1,
+so
+
+    L_n f(x0) = left + (right - left) * sum_{theta_k < theta0} ell_{n,k}(x0),
+
+and lagrange_at_jump evaluates the kernel on the shorter side only:
+min(k0, n - k0) tangent pairs, no evaluation of f at the nodes and no dot
+product.  Every other function gets the full weight vector against f at
+every node.  A grid computes its nodes only when they are used.
 
 The node offset of a jump location x0 = cos(theta0) is
 sigma_n = frac(n*theta0/pi + 1/2), the fractional position of theta0 inside
@@ -43,21 +54,32 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .piecewise import NODE_ATOL, JumpFunction, node_offsets
 
+# integers up to this bound are exact doubles
+_EXACT_DOUBLE_INT = 2**53
+
 
 class ChebyshevGrid:
-    """Chebyshev nodes cos((2k-1) pi / (2n)), k = 1..n (descending in x)."""
+    """Chebyshev nodes cos((2k-1) pi / (2n)), k = 1..n (descending in x).
+
+    nodes is computed on first use: lagrange_at_jump at a pure step needs
+    only the two nodes around the jump.
+    """
 
     def __init__(self, n: int):
         if n < 1:
             raise ValueError("grid order must be >= 1")
         self.n = int(n)
         self.thetas = np.arange(1, 2 * self.n, 2) * math.pi / (2 * self.n)
-        self.nodes = np.cos(self.thetas)
+
+    @cached_property
+    def nodes(self) -> np.ndarray:
+        return np.cos(self.thetas)
 
     def __repr__(self):
         return f"ChebyshevGrid(n={self.n})"
@@ -73,11 +95,13 @@ def _coincident_node(grid: ChebyshevGrid, x: float, theta: float):
     return None
 
 
-def _weights(n: int, a: np.ndarray, b: np.ndarray, cos_n_theta: float) -> np.ndarray:
-    """cos(n theta)/(2n) * (cot a_k + cot b_k) * (-1)^(k-1), k = 1..n.
+def _weights(
+    n: int, a: np.ndarray, b: np.ndarray, cos_n_theta: float, first_k: int = 1
+) -> np.ndarray:
+    """cos(n theta)/(2n) * (cot a_k + cot b_k) * (-1)^(k-1), k = first_k, ...
 
-    a and b are the half-angles (theta_k + theta)/2 and (theta_k - theta)/2;
-    both arrays are overwritten.
+    a and b are the half-angles (theta_k + theta)/2 and (theta_k - theta)/2
+    of consecutive k from first_k on; both arrays are overwritten.
     """
     np.tan(a, out=a)
     np.tan(b, out=b)
@@ -85,7 +109,7 @@ def _weights(n: int, a: np.ndarray, b: np.ndarray, cos_n_theta: float) -> np.nda
     np.divide(1.0, b, out=b)
     a += b
     a *= cos_n_theta / (2 * n)
-    a[1::2] *= -1.0
+    a[first_k % 2::2] *= -1.0
     return a
 
 
@@ -144,20 +168,37 @@ def _rational_cos_n_theta(p: int, q: int, n: int) -> float:
     return math.cos(math.pi * ((n * p) % (2 * q)) / q)
 
 
-def _rational_half_angles(p: int, q: int, n: int):
-    """(theta_k + theta0)/2 and (theta_k - theta0)/2 for theta0 = pi p/q.
+def _rational_half_angles(p: int, q: int, n: int, lo: int = 1, hi: int | None = None):
+    """(theta_k + theta0)/2 and (theta_k - theta0)/2 for theta0 = pi p/q, k = lo..hi.
 
     Both are pi*m/(4nq) with the integer m = (2k-1)q +- 2np, |m| < 4nq;
     None when 4nq passes 2**53, above which not every m is an exact double.
+    hi defaults to n.
     """
-    if 4 * n * q > 2**53:
+    if 4 * n * q > _EXACT_DOUBLE_INT:
         return None
+    if hi is None:
+        hi = n
     scale = math.pi / (4 * n * q)
-    a = np.arange(q + 2 * n * p, q + 2 * n * (p + q), 2 * q, dtype=float)
-    b = np.arange(q - 2 * n * p, q + 2 * n * (q - p), 2 * q, dtype=float)
+    a = np.arange((2 * lo - 1) * q + 2 * n * p, (2 * hi + 1) * q + 2 * n * p, 2 * q, dtype=float)
+    b = np.arange((2 * lo - 1) * q - 2 * n * p, (2 * hi + 1) * q - 2 * n * p, 2 * q, dtype=float)
     a *= scale
     b *= scale
     return a, b
+
+
+def _brackets(grid: ChebyshevGrid, k0: int, *xs: float) -> bool:
+    """Whether nodes k0 and k0 + 1 (1-based) enclose every x with more than
+    2*NODE_ATOL to spare; a missing node (k0 = 0 or n) bounds nothing.
+
+    Where this holds, neither JumpFunction.eval_many nor _coincident_node
+    finds a node within NODE_ATOL of any x.  The two nodes come from
+    math.cos, which may differ from grid.nodes' np.cos in the last place;
+    the second NODE_ATOL covers that.
+    """
+    above = math.cos(grid.thetas[k0 - 1]) if k0 > 0 else math.inf
+    below = math.cos(grid.thetas[k0]) if k0 < grid.n else -math.inf
+    return all(above - x > 2 * NODE_ATOL and x - below > 2 * NODE_ATOL for x in xs)
 
 
 def lagrange_at_jump(
@@ -168,24 +209,67 @@ def lagrange_at_jump(
     theta0 (Fraction p/q for pi*p/q, float angle, or None to derive it from
     the stored location) drives the exact node-coincidence decision: when
     the location is a node of this grid the interpolant reproduces the
-    declared point value; otherwise the trigonometric sum is evaluated, on
-    the rational path with exactly reduced cos(n*theta0) and exact-integer
-    half-angles.
+    declared point value.  Otherwise the kernel gives the weights, on the
+    rational path from exactly reduced cos(n*theta0) and exact-integer
+    half-angles, and they are summed one of two ways:
+
+      * one side: f.is_step, its domain holds [-1, 1], and nodes k0 and
+        k0 + 1 enclose both x0 and the stored location with more than
+        2*NODE_ATOL to spare.  Nodes 1..k0 (theta_k < theta0) then sample the
+        right limit and the others the left one, so the value is the other
+        side's limit plus the difference of the limits times the weights
+        summed over the shorter index range, or that limit alone when the
+        range is empty.  Float half-angles make the weights sum to 1 only
+        to rounding, so there, when one limit is 0, the nonzero limit's side
+        is summed whatever its length;
+      * general, for everything else: the full weight vector against f at
+        every node.
+
+    Where the one-side sum applies, the general sum makes the same node
+    decisions and agrees to rounding.
     """
     jump = f.jumps[jump_index]
     if theta0 is None:
         theta0 = math.acos(jump.x_float)
-    ratio = theta0 if isinstance(theta0, Fraction) else theta0 / math.pi
-    if node_offsets(ratio, grid.n, 0.5)[3]:
+    exact = isinstance(theta0, Fraction)
+    n = grid.n
+    k0, _, _, is_node = node_offsets(theta0 if exact else theta0 / math.pi, n, 0.5)
+    if is_node:
         return jump.value
-    if isinstance(theta0, Fraction):
+    if exact:
         p, q = theta0.numerator, theta0.denominator
         x0 = math.cos(math.pi * p / q)
-        cn = _rational_cos_n_theta(p, q, grid.n)
-        half_angles = _rational_half_angles(p, q, grid.n)
+        cn = _rational_cos_n_theta(p, q, n)
     else:
         x0 = math.cos(theta0)
-        cn = math.cos(grid.n * theta0)
-        half_angles = None
+        cn = math.cos(n * theta0)
+    k0 = int(k0)
+    # a domain holding [-1, 1] holds every node, so eval_many would not raise
+    holds_grid = f.domain[0] <= -1.0 and 1.0 <= f.domain[1]
+    if f.is_step and holds_grid and _brackets(grid, k0, x0, jump.x_float):
+        exact_angles = exact and 4 * n * q <= _EXACT_DOUBLE_INT
+        # nodes 1..k0 sample the right limit, nodes k0+1..n the left one
+        right_side = 2 * k0 <= n
+        if not exact_angles and (jump.left == 0.0) != (jump.right == 0.0):
+            # float half-angles and cos(n*theta0) are rounded apart, so the
+            # weights sum to 1 only to about 1e-13 (1e-9 beside a node), and
+            # sum = 1 would carry that into the value; summing the nonzero
+            # limit's side does not use it
+            right_side = jump.left == 0.0
+        if right_side:
+            lo, hi, summed, other = 1, k0, jump.right, jump.left
+        else:
+            lo, hi, summed, other = k0 + 1, n, jump.left, jump.right
+        if lo > hi:
+            return other
+        if exact_angles:
+            half_angles = _rational_half_angles(p, q, n, lo, hi)
+        else:
+            angle = math.pi * p / q if exact else theta0
+            thetas = grid.thetas[lo - 1:hi]
+            half_angles = ((thetas + angle) / 2, (thetas - angle) / 2)
+        weights = _weights(n, *half_angles, cn, first_k=lo)
+        return other + (summed - other) * float(weights.sum())
+    half_angles = _rational_half_angles(p, q, n) if exact else None
     weights = fundamental_weights(grid, x0, cos_n_theta=cn, half_angles=half_angles)
     return float(weights @ f.eval_many(grid.nodes))

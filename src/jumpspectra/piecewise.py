@@ -45,6 +45,7 @@ import numpy as np
 NODE_ATOL = 1e-13
 OFFSET_TOL = 1e-12
 _INT64_MAX = np.iinfo(np.int64).max
+_FOUR_EPS = 4 * np.finfo(float).eps
 
 LEFT0_RIGHT1 = "left0_right1"
 LEFT1_RIGHT0 = "left1_right0"
@@ -61,12 +62,15 @@ def node_offsets(ratio, n, shift):
     the arithmetic runs on Python ints (object arrays).  A float ratio gives
     den = 1 and the tolerance rule of the policy above.
     """
-    if not 0 <= ratio <= 1:
-        raise ValueError("location ratio must lie in [0, 1]")
     if shift not in (0, 0.5):
         raise ValueError("shift must be 0 or 1/2")
-    if isinstance(ratio, Fraction):
-        p, q = ratio.numerator, ratio.denominator
+    exact = isinstance(ratio, Fraction)
+    # a Fraction's denominator is positive, so its int parts decide the range
+    # check; comparing Fractions took most of a scalar call's time
+    p, q = (ratio.numerator, ratio.denominator) if exact else (ratio, 1)
+    if not 0 <= p <= q:
+        raise ValueError("location ratio must lie in [0, 1]")
+    if exact:
         m = 2 if shift else 1
         if isinstance(n, np.ndarray) and n.size and m * int(n.max()) * p + q > _INT64_MAX:
             n = n.astype(object)
@@ -78,7 +82,7 @@ def node_offsets(ratio, n, shift):
     t = n * float(ratio) + shift
     k0 = np.floor(t)
     num = t - k0
-    is_node = np.minimum(num, 1.0 - num) < np.maximum(OFFSET_TOL, 4 * np.finfo(float).eps * t)
+    is_node = np.minimum(num, 1.0 - num) < np.maximum(OFFSET_TOL, _FOUR_EPS * t)
     k0 = (k0 + (is_node & (num > 0.5))).astype(int)
     return k0, np.where(is_node, 0.0, num), 1, is_node
 
@@ -165,6 +169,11 @@ class JumpFunction:
             offsets.append(offsets[-1] + (j.right - j.left))
         object.__setattr__(self, "_locs", np.array(xs, dtype=float))
         object.__setattr__(self, "_offsets", np.array(offsets))
+
+    @property
+    def is_step(self) -> bool:
+        """One jump on a constant base: f takes one value on each side of it."""
+        return len(self.jumps) == 1 and len(self.base.poly) <= 1 and not self.base.trig
 
     def _check_domain(self, xs):
         lo, hi = self.domain

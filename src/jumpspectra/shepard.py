@@ -99,17 +99,15 @@ def _sweep_sums(sigma: np.ndarray, k0: np.ndarray, n: np.ndarray, s: float):
 def step_sweep(f: JumpFunction, s: float, n_values) -> np.ndarray:
     """S_{n,s} f at the jump of a single-jump constant-base f, for many n.
 
-    Requires f to have exactly one jump and a constant continuous part (the
+    Requires f.is_step: exactly one jump on a constant continuous part (the
     canonical steps qualify).  Values equal shepard_at_jump for each n.
 
     For s > 1 each tail zeta(s, c) carries the 1/(s-1) pole, which cancels
     in the difference, so the absolute error grows roughly as 4e-17/(s-1),
     up to about 4e-11 at s = 1 + 1e-6 and 4e-8 at s = 1 + 1e-9 for n <= 10^4.
     """
-    if len(f.jumps) != 1:
-        raise ValueError("step_sweep requires exactly one jump")
-    if len(f.base.poly) > 1 or f.base.trig:
-        raise ValueError("step_sweep requires a constant continuous part")
+    if not f.is_step:
+        raise ValueError("step_sweep requires exactly one jump on a constant continuous part")
     if not SHEPARD_S_MIN <= s <= SHEPARD_S_MAX:
         raise ValueError(
             f"s={s} outside supported box [{SHEPARD_S_MIN}, {SHEPARD_S_MAX}]"

@@ -19,6 +19,7 @@ from jumpspectra.harness import (
     write_comparison_json,
     write_run_csv,
 )
+from jumpspectra.density import SequencePrefix
 from jumpspectra.piecewise import ContinuousPart, from_steps, save_descriptor
 from jumpspectra.theory import Irrational
 
@@ -241,6 +242,36 @@ class TestOutputs:
         }
         assert data["config"]["location"] == {"num": 1, "den": 2}
         assert data["report"]["pass"] is True
+
+    @pytest.mark.parametrize(
+        "location, expected",
+        [
+            (
+                Fraction(1, 3),
+                b"n,sigma_num,sigma_den,is_node,value\r\n"
+                b"1,1,3,0,0.7500000000000001\r\n"
+                b"21,0,1,1,0.3\r\n"
+                b"41,2,3,0,0.6666666666666666\r\n"
+                b"61,1,3,0,-1.5e-17\r\n",
+            ),
+            (
+                Irrational(math.sqrt(2) / 2),
+                b"n,sigma_float,is_node,value\r\n"
+                b"1,0.7071067811865476,0,0.7500000000000001\r\n"
+                b"21,0.8492424049174989,0,0.3\r\n"
+                b"41,0.9913780286484517,0,0.6666666666666666\r\n"
+                b"61,0.13351365237939916,0,-1.5e-17\r\n",
+            ),
+        ],
+    )
+    def test_csv_bytes(self, tmp_path, location, expected):
+        # the values are given, so the bytes depend on the writer and the
+        # node offsets alone
+        cfg = shepard_cfg(location=location, n_max=64, stride=20)
+        prefix = SequencePrefix(np.array([0.7500000000000001, 0.3, 2 / 3, -1.5e-17]))
+        path = tmp_path / "run.csv"
+        write_run_csv(cfg, prefix, path)
+        assert path.read_bytes() == expected
 
     def test_rerun_bit_identical(self, tmp_path):
         cfg = shepard_cfg(location=Fraction(1, 3), n_max=120)

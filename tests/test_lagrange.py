@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 
 from jumpspectra.lagrange import (
     ChebyshevGrid,
+    _rational_cos_n_theta,
+    _rational_half_angles,
     fundamental_eval,
     fundamental_product_reference,
     fundamental_weights,
@@ -268,3 +271,135 @@ class TestAtJump:
         h = pure_step(math.cos(1.0), 0.3, "left0_right1", (-1.0, 1.0))
         value = lagrange_at_jump(ChebyshevGrid(64), h, 0, 1.0)
         assert -0.2 < value < 1.2
+
+
+def _general_sum(grid, f, theta0):
+    """Weights against f at every node, from the angles lagrange_at_jump uses."""
+    n = grid.n
+    if isinstance(theta0, Fraction):
+        p, q = theta0.numerator, theta0.denominator
+        x0, cn = math.cos(math.pi * p / q), _rational_cos_n_theta(p, q, n)
+        half_angles = _rational_half_angles(p, q, n)
+    else:
+        x0, cn = math.cos(theta0), math.cos(n * theta0)
+        half_angles = ((grid.thetas + theta0) / 2, (grid.thetas - theta0) / 2)
+    return float(fundamental_weights(grid, x0, cn, half_angles) @ f.eval_many(grid.nodes))
+
+
+def _at_jump(grid, f, theta0, jump_index=0):
+    """lagrange_at_jump's value, and whether it evaluated f at the nodes."""
+    with mock.patch.object(
+        JumpFunction, "eval_many", autospec=True, side_effect=JumpFunction.eval_many
+    ) as spy:
+        value = lagrange_at_jump(grid, f, jump_index, theta0)
+    return value, spy.called
+
+
+def _step(x0, limits, d):
+    """A single jump at x0 on a constant base, with the given one-sided limits."""
+    left, right = limits
+    return from_steps(ContinuousPart((left,)), [(x0, right - left, d)], (-1.0, 1.0))
+
+
+class TestOneSideSum:
+    """lagrange_at_jump at one jump on a constant base sums one side's weights."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        q=st.integers(min_value=2, max_value=60),
+        p_seed=st.integers(min_value=1, max_value=59),
+        n=st.integers(min_value=1, max_value=3000),
+        d=st.floats(min_value=-2.0, max_value=2.0),
+        limits=st.sampled_from([(0.0, 1.0), (1.0, 0.0), (-0.75, 2.5), (3.0, 0.5)]),
+        float_angle=st.booleans(),
+    )
+    def test_matches_the_general_sum(self, q, p_seed, n, d, limits, float_angle):
+        p = 1 + p_seed % (q - 1)
+        assume(math.gcd(p, q) == 1)
+        # float half-angles make the weights sum to 1 only to rounding, which
+        # a limit other than 0 on the unsummed side would carry; pure steps
+        # (limits 0 and 1) keep that out
+        assume(not float_angle or 0.0 in limits)
+        theta0 = math.pi * p / q if float_angle else Fraction(p, q)
+        f = _step(math.cos(math.pi * p / q), limits, d)
+        grid = ChebyshevGrid(n)
+        value, evaluated_f = _at_jump(grid, f, theta0)
+        if node_offsets(Fraction(p, q), n, 0.5)[3]:
+            assert value == d
+        else:
+            # with q <= 60 and n <= 3000 no node is within 1e-7 of x0.  The
+            # rounding of cos(n*theta0), up to about 2e-14 relative here,
+            # scales the one-side sum and the general sum differently
+            assert not evaluated_f
+            assert value == pytest.approx(_general_sum(grid, f, theta0), abs=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        q=st.integers(min_value=2, max_value=60),
+        p_seed=st.integers(min_value=1, max_value=59),
+        n=st.integers(min_value=1, max_value=40),
+        limits=st.sampled_from([(0.0, 1.0), (1.0, 0.0), (-0.75, 2.5)]),
+    )
+    def test_matches_the_product_form(self, q, p_seed, n, limits):
+        p = 1 + p_seed % (q - 1)
+        assume(math.gcd(p, q) == 1)
+        assume(not node_offsets(Fraction(p, q), n, 0.5)[3])
+        x0 = math.cos(math.pi * p / q)
+        f = _step(x0, limits, 0.3)
+        grid = ChebyshevGrid(n)
+        fk = f.eval_many(grid.nodes)
+        direct = sum(
+            fundamental_product_reference(grid, k, x0) * fk[k - 1] for k in range(1, n + 1)
+        )
+        assert lagrange_at_jump(grid, f, 0, Fraction(p, q)) == pytest.approx(direct, abs=1e-12)
+
+    def test_node_hits_return_the_point_value(self):
+        f = _step(math.cos(3 * math.pi / 8), (0.0, 1.0), 0.37)
+        for n in (4, 12, 20):
+            assert _at_jump(ChebyshevGrid(n), f, Fraction(3, 8)) == (0.37, False)
+            assert _at_jump(ChebyshevGrid(n), f, 3 * math.pi / 8) == (0.37, False)
+
+    @pytest.mark.parametrize("limits", [(0.0, 1.0), (1.0, 0.0), (-0.75, 2.5)])
+    @pytest.mark.parametrize("float_angle", [False, True])
+    def test_every_node_on_one_side(self, limits, float_angle):
+        # theta0 = pi/7 lies before theta_1 = pi/6 (k0 = 0): every node samples
+        # the left limit; 6pi/7 lies past theta_3 = 5pi/6 (k0 = n)
+        grid = ChebyshevGrid(3)
+        left, right = limits
+        for ratio, k0, limit in ((Fraction(1, 7), 0, left), (Fraction(6, 7), 3, right)):
+            assert node_offsets(ratio, 3, 0.5)[0] == k0
+            theta0 = math.pi * ratio.numerator / ratio.denominator if float_angle else ratio
+            f = _step(math.cos(math.pi * ratio.numerator / ratio.denominator), limits, 0.3)
+            value, evaluated_f = _at_jump(grid, f, theta0)
+            assert not evaluated_f
+            assert value == pytest.approx(limit, abs=1e-14)
+            assert value == pytest.approx(_general_sum(grid, f, theta0), abs=1e-14)
+
+    def test_node_between_location_and_jump_takes_the_general_path(self):
+        # the descriptor's jump sits 6e-10 (in angle) from the location, with
+        # node k = 13 of n = 40 between them: the nodes' values differ from
+        # the one-side partition, so the general path answers, bit for bit
+        n, k = 40, 13
+        theta_k = (2 * k - 1) * math.pi / (2 * n)
+        theta0 = theta_k + 3e-10
+        f = _step(math.cos(theta_k - 3e-10), (0.0, 1.0), 0.3)
+        grid = ChebyshevGrid(n)
+        x0 = math.cos(theta0)
+        assert f.jumps[0].x_float > grid.nodes[k - 1] > x0
+        expected = float(
+            fundamental_weights(grid, x0, cos_n_theta=math.cos(n * theta0))
+            @ f.eval_many(grid.nodes)
+        )
+        value, evaluated_f = _at_jump(grid, f, theta0)
+        assert evaluated_f
+        assert value == expected
+
+    def test_general_functions_take_the_general_path(self):
+        f, i = _two_jump_at(Fraction(1, 3))
+        assert _at_jump(ChebyshevGrid(50), f, Fraction(1, 3), i)[1]
+
+    def test_domain_short_of_the_grid_still_raises(self):
+        # the nodes reach past the domain, so the general path's eval_many raises
+        f = from_steps(ContinuousPart((0.0,)), [(0.5, 1.0, 0.3)], (-0.5, 1.0))
+        with pytest.raises(ValueError):
+            lagrange_at_jump(ChebyshevGrid(10), f, 0, Fraction(1, 3))

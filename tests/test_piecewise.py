@@ -114,6 +114,18 @@ class TestLimits:
             assert right - left == pytest.approx(jump.right - jump.left, abs=1e-12)
 
 
+class TestIsStep:
+    def test_one_jump_on_a_constant_base(self, two_jump):
+        assert pure_step(0.2, 0.5, LEFT1_RIGHT0, (0.0, 1.0)).is_step
+        assert from_steps(ContinuousPart((2.5,)), [(0.3, -1.0, 0.0)], (0.0, 1.0)).is_step
+        assert not two_jump.is_step
+        assert not JumpFunction(ContinuousPart((1.0,)), (), (0.0, 1.0)).is_step
+        linear = ContinuousPart((0.0, 1.0))
+        assert not from_steps(linear, [(0.3, 1.0, 0.0)], (0.0, 1.0)).is_step
+        wave = ContinuousPart((1.0,), ((2.0, 0.1, 0.0),))
+        assert not from_steps(wave, [(0.3, 1.0, 0.0)], (0.0, 1.0)).is_step
+
+
 class TestValidation:
     def test_zero_jump_rejected(self):
         with pytest.raises(ValueError):
