@@ -29,7 +29,7 @@ so b_k is exact to one rounding however close theta sits to a node; a float
 angle uses (theta_k -+ theta)/2 directly.  The O(n^2) product form is
 retained only as a test oracle.
 
-At a pure step (one jump on a constant base, JumpFunction.is_step) the
+At a pure step (one jump on a constant base, JumpFunction.step_limits) the
 nodes on each side of the jump all sample one limit, and sum_k ell_{n,k} = 1,
 so
 
@@ -37,8 +37,10 @@ so
 
 and lagrange_at_jump evaluates the kernel on the shorter side only:
 min(k0, n - k0) tangent pairs, no evaluation of f at the nodes and no dot
-product.  Every other function gets the full weight vector against f at
-every node.  A grid computes its nodes only when they are used.
+product.  Float weights sum to 1 only to rounding, so on a float angle the
+one-side sum is taken only when one limit is 0, over the other limit's
+side.  Every other case gets the full weight vector against f at every
+node.  A grid computes its nodes only when they are used.
 
 The node offset of a jump location x0 = cos(theta0) is
 sigma_n = frac(n*theta0/pi + 1/2), the fractional position of theta0 inside
@@ -213,20 +215,22 @@ def lagrange_at_jump(
     rational path from exactly reduced cos(n*theta0) and exact-integer
     half-angles, and they are summed one of two ways:
 
-      * one side: f.is_step, its domain holds [-1, 1], and nodes k0 and
-        k0 + 1 enclose both x0 and the stored location with more than
-        2*NODE_ATOL to spare.  Nodes 1..k0 (theta_k < theta0) then sample the
-        right limit and the others the left one, so the value is the other
-        side's limit plus the difference of the limits times the weights
-        summed over the shorter index range, or that limit alone when the
-        range is empty.  Float half-angles make the weights sum to 1 only
-        to rounding, so there, when one limit is 0, the nonzero limit's side
-        is summed whatever its length;
+      * one side: f.step_limits is not None, its domain holds [-1, 1],
+        nodes k0 and k0 + 1 enclose both x0 and the stored location with
+        more than 2*NODE_ATOL to spare, and the half-angles are exact or one
+        limit is 0.  Nodes 1..k0 (theta_k < theta0) then sample the right
+        limit and the others the left one, so the value is the other side's
+        limit plus the difference of the limits times the weights summed
+        over one index range, or that limit alone when the range is empty.
+        With exact half-angles the range is the shorter one.  Float
+        half-angles make the weights sum to 1 only to rounding, so there the
+        range is the nonzero limit's, and the value does not use sum = 1;
       * general, for everything else: the full weight vector against f at
         every node.
 
-    Where the one-side sum applies, the general sum makes the same node
-    decisions and agrees to rounding.
+    The limits are the values f takes at the nodes (step_limits), not the
+    declared ones.  Where the one-side sum applies, the general sum makes
+    the same node decisions and agrees to rounding.
     """
     jump = f.jumps[jump_index]
     if theta0 is None:
@@ -244,22 +248,24 @@ def lagrange_at_jump(
         x0 = math.cos(theta0)
         cn = math.cos(n * theta0)
     k0 = int(k0)
+    limits = f.step_limits
+    exact_angles = exact and 4 * n * q <= _EXACT_DOUBLE_INT
+    # float half-angles and cos(n*theta0) are rounded apart, so float weights
+    # sum to 1 only to about 1e-13 (1e-9 beside a node): there the one-side
+    # sum is taken only with one limit 0, whose side it leaves out, so the
+    # value never rests on sum = 1
+    one_side = limits is not None and (exact_angles or 0.0 in limits)
     # a domain holding [-1, 1] holds every node, so eval_many would not raise
     holds_grid = f.domain[0] <= -1.0 and 1.0 <= f.domain[1]
-    if f.is_step and holds_grid and _brackets(grid, k0, x0, jump.x_float):
-        exact_angles = exact and 4 * n * q <= _EXACT_DOUBLE_INT
-        # nodes 1..k0 sample the right limit, nodes k0+1..n the left one
-        right_side = 2 * k0 <= n
-        if not exact_angles and (jump.left == 0.0) != (jump.right == 0.0):
-            # float half-angles and cos(n*theta0) are rounded apart, so the
-            # weights sum to 1 only to about 1e-13 (1e-9 beside a node), and
-            # sum = 1 would carry that into the value; summing the nonzero
-            # limit's side does not use it
-            right_side = jump.left == 0.0
+    if one_side and holds_grid and _brackets(grid, k0, x0, jump.x_float):
+        left, right = limits
+        # nodes 1..k0 sample the right limit, nodes k0+1..n the left one; the
+        # sum runs over the shorter side, on a float angle the nonzero limit's
+        right_side = 2 * k0 <= n if exact_angles else left == 0.0
         if right_side:
-            lo, hi, summed, other = 1, k0, jump.right, jump.left
+            lo, hi, summed, other = 1, k0, right, left
         else:
-            lo, hi, summed, other = k0 + 1, n, jump.left, jump.right
+            lo, hi, summed, other = k0 + 1, n, left, right
         if lo > hi:
             return other
         if exact_angles:

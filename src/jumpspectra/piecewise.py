@@ -45,7 +45,6 @@ import numpy as np
 NODE_ATOL = 1e-13
 OFFSET_TOL = 1e-12
 _INT64_MAX = np.iinfo(np.int64).max
-_FOUR_EPS = 4 * np.finfo(float).eps
 
 LEFT0_RIGHT1 = "left0_right1"
 LEFT1_RIGHT0 = "left1_right0"
@@ -62,15 +61,12 @@ def node_offsets(ratio, n, shift):
     the arithmetic runs on Python ints (object arrays).  A float ratio gives
     den = 1 and the tolerance rule of the policy above.
     """
+    if not 0 <= ratio <= 1:
+        raise ValueError("location ratio must lie in [0, 1]")
     if shift not in (0, 0.5):
         raise ValueError("shift must be 0 or 1/2")
-    exact = isinstance(ratio, Fraction)
-    # a Fraction's denominator is positive, so its int parts decide the range
-    # check; comparing Fractions took most of a scalar call's time
-    p, q = (ratio.numerator, ratio.denominator) if exact else (ratio, 1)
-    if not 0 <= p <= q:
-        raise ValueError("location ratio must lie in [0, 1]")
-    if exact:
+    if isinstance(ratio, Fraction):
+        p, q = ratio.numerator, ratio.denominator
         m = 2 if shift else 1
         if isinstance(n, np.ndarray) and n.size and m * int(n.max()) * p + q > _INT64_MAX:
             n = n.astype(object)
@@ -82,7 +78,7 @@ def node_offsets(ratio, n, shift):
     t = n * float(ratio) + shift
     k0 = np.floor(t)
     num = t - k0
-    is_node = np.minimum(num, 1.0 - num) < np.maximum(OFFSET_TOL, _FOUR_EPS * t)
+    is_node = np.minimum(num, 1.0 - num) < np.maximum(OFFSET_TOL, 4 * np.finfo(float).eps * t)
     k0 = (k0 + (is_node & (num > 0.5))).astype(int)
     return k0, np.where(is_node, 0.0, num), 1, is_node
 
@@ -171,9 +167,17 @@ class JumpFunction:
         object.__setattr__(self, "_offsets", np.array(offsets))
 
     @property
-    def is_step(self) -> bool:
-        """One jump on a constant base: f takes one value on each side of it."""
-        return len(self.jumps) == 1 and len(self.base.poly) <= 1 and not self.base.trig
+    def step_limits(self) -> tuple[float, float] | None:
+        """(f(x0-0), f(x0+0)) when f is one jump x0 on a constant base, else None.
+
+        The limits are the values eval_many gives on either side of x0, the
+        base plus _offsets, not the declared ones, which validation lets
+        differ from these by up to 1e-9 (relative or absolute).
+        """
+        if len(self.jumps) != 1 or len(self.base.poly) > 1 or self.base.trig:
+            return None
+        c = self.base.poly[0] if self.base.poly else 0.0
+        return float(c + self._offsets[0]), float(c + self._offsets[1])
 
     def _check_domain(self, xs):
         lo, hi = self.domain

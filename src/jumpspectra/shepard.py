@@ -99,14 +99,16 @@ def _sweep_sums(sigma: np.ndarray, k0: np.ndarray, n: np.ndarray, s: float):
 def step_sweep(f: JumpFunction, s: float, n_values) -> np.ndarray:
     """S_{n,s} f at the jump of a single-jump constant-base f, for many n.
 
-    Requires f.is_step: exactly one jump on a constant continuous part (the
-    canonical steps qualify).  Values equal shepard_at_jump for each n.
+    Requires exactly one jump on a constant continuous part (the canonical
+    steps qualify) and weights the limits f.step_limits gives, the values f
+    takes at the nodes, so the values equal shepard_at_jump for each n.
 
     For s > 1 each tail zeta(s, c) carries the 1/(s-1) pole, which cancels
     in the difference, so the absolute error grows roughly as 4e-17/(s-1),
     up to about 4e-11 at s = 1 + 1e-6 and 4e-8 at s = 1 + 1e-9 for n <= 10^4.
     """
-    if not f.is_step:
+    limits = f.step_limits
+    if limits is None:
         raise ValueError("step_sweep requires exactly one jump on a constant continuous part")
     if not SHEPARD_S_MIN <= s <= SHEPARD_S_MAX:
         raise ValueError(
@@ -125,7 +127,7 @@ def step_sweep(f: JumpFunction, s: float, n_values) -> np.ndarray:
         n_arr[live].astype(float),
     )
     a, b = _sweep_sums(num, k0, n_arr, float(s))
-    values = (jump.left * a + jump.right * b) / (a + b)
+    values = (limits[0] * a + limits[1] * b) / (a + b)
     # allocated last, out sits above the freed temporaries, so the heap keeps
     # them for the caller's next arrays; allocated first, it let the heap
     # return them and cost compare about 4e4 page faults at n = 10^6

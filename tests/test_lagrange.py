@@ -20,6 +20,7 @@ from jumpspectra.lagrange import (
 from jumpspectra.piecewise import (
     ContinuousPart,
     JumpFunction,
+    from_descriptor_dict,
     from_steps,
     node_offsets,
     pure_step,
@@ -286,6 +287,15 @@ def _general_sum(grid, f, theta0):
     return float(fundamental_weights(grid, x0, cn, half_angles) @ f.eval_many(grid.nodes))
 
 
+def _general_path(grid, f, theta0):
+    """The general path of lagrange_at_jump: like _general_sum, but on a float
+    angle fundamental_weights forms the half-angles from acos(x0)."""
+    if isinstance(theta0, Fraction):
+        return _general_sum(grid, f, theta0)
+    x0, cn = math.cos(theta0), math.cos(grid.n * theta0)
+    return float(fundamental_weights(grid, x0, cn) @ f.eval_many(grid.nodes))
+
+
 def _at_jump(grid, f, theta0, jump_index=0):
     """lagrange_at_jump's value, and whether it evaluated f at the nodes."""
     with mock.patch.object(
@@ -316,16 +326,17 @@ class TestOneSideSum:
     def test_matches_the_general_sum(self, q, p_seed, n, d, limits, float_angle):
         p = 1 + p_seed % (q - 1)
         assume(math.gcd(p, q) == 1)
-        # float half-angles make the weights sum to 1 only to rounding, which
-        # a limit other than 0 on the unsummed side would carry; pure steps
-        # (limits 0 and 1) keep that out
-        assume(not float_angle or 0.0 in limits)
         theta0 = math.pi * p / q if float_angle else Fraction(p, q)
         f = _step(math.cos(math.pi * p / q), limits, d)
         grid = ChebyshevGrid(n)
         value, evaluated_f = _at_jump(grid, f, theta0)
         if node_offsets(Fraction(p, q), n, 0.5)[3]:
             assert value == d
+        elif float_angle and 0.0 not in limits:
+            # float weights sum to 1 only to rounding, which the one-side sum
+            # would carry into the value: the general path answers
+            assert evaluated_f
+            assert value == _general_path(grid, f, theta0)
         else:
             # with q <= 60 and n <= 3000 no node is within 1e-7 of x0.  The
             # rounding of cos(n*theta0), up to about 2e-14 relative here,
@@ -371,7 +382,7 @@ class TestOneSideSum:
             theta0 = math.pi * ratio.numerator / ratio.denominator if float_angle else ratio
             f = _step(math.cos(math.pi * ratio.numerator / ratio.denominator), limits, 0.3)
             value, evaluated_f = _at_jump(grid, f, theta0)
-            assert not evaluated_f
+            assert evaluated_f == (float_angle and 0.0 not in limits)
             assert value == pytest.approx(limit, abs=1e-14)
             assert value == pytest.approx(_general_sum(grid, f, theta0), abs=1e-14)
 
@@ -384,15 +395,37 @@ class TestOneSideSum:
         theta0 = theta_k + 3e-10
         f = _step(math.cos(theta_k - 3e-10), (0.0, 1.0), 0.3)
         grid = ChebyshevGrid(n)
-        x0 = math.cos(theta0)
-        assert f.jumps[0].x_float > grid.nodes[k - 1] > x0
-        expected = float(
-            fundamental_weights(grid, x0, cos_n_theta=math.cos(n * theta0))
-            @ f.eval_many(grid.nodes)
-        )
+        assert f.jumps[0].x_float > grid.nodes[k - 1] > math.cos(theta0)
         value, evaluated_f = _at_jump(grid, f, theta0)
         assert evaluated_f
-        assert value == expected
+        assert value == _general_path(grid, f, theta0)
+
+    @pytest.mark.parametrize(
+        "base, declared, theta0",
+        [
+            # base 1000 on the rational path: the declared left limit is
+            # 5e-7 off, within validation's 1e-9 relative
+            (1000.0, (1000.0000005, 1001.0), Fraction(2, 7)),
+            # base 0 on a float angle: the declared left limit is 5e-10, but
+            # the nodes left of the jump give 0, so the zero-limit rule holds
+            (0.0, (5e-10, 1.0), 2 * math.pi / 7),
+        ],
+    )
+    def test_limits_are_the_values_at_the_nodes(self, base, declared, theta0):
+        x0 = math.cos(2 * math.pi / 7)
+        f = from_descriptor_dict(
+            {
+                "domain": [-1.0, 1.0],
+                "poly": [base],
+                "jumps": [{"x": x0, "left": declared[0], "right": declared[1], "value": 0.3}],
+            }
+        )
+        assert f.step_limits[0] == base != f.jumps[0].left
+        for n in (5, 64, 1001):
+            grid = ChebyshevGrid(n)
+            value, evaluated_f = _at_jump(grid, f, theta0)
+            assert not evaluated_f
+            assert value == pytest.approx(_general_sum(grid, f, theta0), abs=1e-10)
 
     def test_general_functions_take_the_general_path(self):
         f, i = _two_jump_at(Fraction(1, 3))

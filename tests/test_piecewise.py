@@ -14,6 +14,7 @@ from jumpspectra.piecewise import (
     ContinuousPart,
     JumpFunction,
     JumpSpec,
+    from_descriptor_dict,
     from_steps,
     load_descriptor,
     node_offsets,
@@ -114,16 +115,31 @@ class TestLimits:
             assert right - left == pytest.approx(jump.right - jump.left, abs=1e-12)
 
 
-class TestIsStep:
+class TestStepLimits:
     def test_one_jump_on_a_constant_base(self, two_jump):
-        assert pure_step(0.2, 0.5, LEFT1_RIGHT0, (0.0, 1.0)).is_step
-        assert from_steps(ContinuousPart((2.5,)), [(0.3, -1.0, 0.0)], (0.0, 1.0)).is_step
-        assert not two_jump.is_step
-        assert not JumpFunction(ContinuousPart((1.0,)), (), (0.0, 1.0)).is_step
+        assert pure_step(0.2, 0.5, LEFT1_RIGHT0, (0.0, 1.0)).step_limits == (1.0, 0.0)
+        f = from_steps(ContinuousPart((2.5,)), [(0.3, -1.0, 0.0)], (0.0, 1.0))
+        assert f.step_limits == (2.5, 1.5)
+        assert two_jump.step_limits is None
+        assert JumpFunction(ContinuousPart((1.0,)), (), (0.0, 1.0)).step_limits is None
         linear = ContinuousPart((0.0, 1.0))
-        assert not from_steps(linear, [(0.3, 1.0, 0.0)], (0.0, 1.0)).is_step
+        assert from_steps(linear, [(0.3, 1.0, 0.0)], (0.0, 1.0)).step_limits is None
         wave = ContinuousPart((1.0,), ((2.0, 0.1, 0.0),))
-        assert not from_steps(wave, [(0.3, 1.0, 0.0)], (0.0, 1.0)).is_step
+        assert from_steps(wave, [(0.3, 1.0, 0.0)], (0.0, 1.0)).step_limits is None
+
+    def test_limits_are_the_values_at_the_nodes(self):
+        # validation lets the declared left limit sit 5e-7 off base 1000;
+        # the limits are what eval_many gives beside the jump
+        f = from_descriptor_dict(
+            {
+                "domain": [-1.0, 1.0],
+                "poly": [1000.0],
+                "jumps": [{"x": 0.25, "left": 1000.0000005, "right": 1001.0, "value": 0.0}],
+            }
+        )
+        assert f.step_limits == tuple(f.eval_many([0.2, 0.3]))
+        assert f.step_limits == f.one_sided_limits(0.25)
+        assert f.step_limits[0] == 1000.0 != f.jumps[0].left
 
 
 class TestValidation:

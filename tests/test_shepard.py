@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from jumpspectra.piecewise import (
     ContinuousPart,
     JumpFunction,
+    from_descriptor_dict,
     from_steps,
     node_offsets,
     pure_step,
@@ -137,6 +138,22 @@ class TestStepSweep:
 
     def test_general_jump_values(self):
         f = from_steps(ContinuousPart((4.0,)), [(Fraction(1, 3), -3.0, 2.5)], (0.0, 1.0))
+        values = step_sweep(f, 2.0, range(1, 100))
+        for n in (5, 31, 99):
+            direct = shepard_at_jump(ShepardConfig(2.0, n), f, 0)
+            assert values[n - 1] == pytest.approx(direct, abs=1e-10)
+
+    def test_weights_the_values_at_the_nodes(self):
+        # the declared left limit sits 5e-7 off base 1000, which validation
+        # allows; shepard_at_jump sees the base at the nodes, so must the sweep
+        f = from_descriptor_dict(
+            {
+                "domain": [0.0, 1.0],
+                "poly": [1000.0],
+                "jumps": [{"x": {"num": 1, "den": 3}, "left": 1000.0000005, "right": 1001.0,
+                           "value": 0.0}],
+            }
+        )
         values = step_sweep(f, 2.0, range(1, 100))
         for n in (5, 31, 99):
             direct = shepard_at_jump(ShepardConfig(2.0, n), f, 0)
