@@ -23,6 +23,19 @@ out of the estimate while still letting slowly shrinking memberships (for
 example equidistributed sequences hitting an inflated interval) settle to
 their true measure.
 
+Two shortcuts keep the profile cheap on long prefixes without moving a
+single ratio:
+
+  * the sets of a profile are nested (strict |x_n - L| < eps with eps
+    decreasing, x_n > M with M increasing, closed inflated intervals with
+    eps decreasing, each exact in floating point since rounding is
+    monotone), so a set with as many members as the previous, larger one
+    is that set; its ratio is reused and the prefix is scanned once per
+    distinct set, not once per eps;
+  * the running counts are summed over the tail window only, seeded with
+    the number of members before it; the integer counts, hence the
+    quotients, are the ones a cumulative sum over the whole prefix gives.
+
 All functions are pure; callers may evaluate different prefixes in
 parallel.
 """
@@ -142,14 +155,18 @@ class ClusterReport:
 
 
 def _window_extents(membership, window: float):
+    """Counts |K n {1..n}| and the n of the tail window n in [ceil(N*window), N]."""
+    if not 0.0 <= window <= 1.0:  # also refuses NaN
+        raise ValueError(f"window must be in [0, 1], got {window}")
     member = np.asarray(membership, dtype=bool)
     n_total = member.size
     if n_total == 0:
         raise ValueError("empty prefix")
-    counts = np.cumsum(member)
     start = max(1, math.ceil(n_total * window))
+    counts = np.cumsum(member[start - 1 :])
+    counts += np.count_nonzero(member[: start - 1])
     ns = np.arange(start, n_total + 1)
-    return counts[start - 1 :], ns
+    return counts, ns
 
 
 def lower_density(membership, window: float = 0.5) -> float:
@@ -203,6 +220,23 @@ def _plateau_estimate(ratios, tol: float) -> float:
     return ratios[k]
 
 
+def _nested_ratios(memberships, window: float) -> list[float]:
+    """lower_density of each of a sequence of nested sets, largest first.
+
+    A set with as many members as the previous one, which contains it, is
+    the same set, so its ratio is reused instead of scanning the prefix.
+    """
+    ratios = []
+    previous = None
+    for member in memberships:
+        count = np.count_nonzero(member)
+        if count != previous:
+            ratio = lower_density(member, window)
+            previous = count
+        ratios.append(ratio)
+    return ratios
+
+
 def _validate_grid(eps_grid):
     grid = [float(e) for e in eps_grid]
     if not grid:
@@ -226,23 +260,23 @@ def empirical_index(
     Finite targets use membership |x_n - target| < eps over the eps grid.
     target = +-math.inf uses membership {x_n > M} / {x_n < M} over the
     default M grid (restricted to M below the prefix extreme, where the
-    finite-prefix estimator is informative); the profile then stores
-    (1/M, ratio) so it stays sorted by decreasing scale.
+    finite-prefix estimator is informative, or to the first M, with ratio
+    0, when none is); the profile then stores (1/M, ratio) so it stays
+    sorted by decreasing scale.
     """
     values = prefix.values
     if math.isinf(target):
         sign = 1.0 if target > 0 else -1.0
-        extreme = float(np.max(sign * values))
-        ms = [m for m in DEFAULT_M_GRID if m < extreme]
-        if not ms:
-            return IndexEstimate(target, ((1.0 / DEFAULT_M_GRID[0], 0.0),), 0.0)
-        ratios = [lower_density(sign * values > m, window) for m in ms]
+        signed = sign * values
+        extreme = float(np.max(signed))
+        # with no M below the extreme, the first M's set is empty: ratio 0
+        ms = [m for m in DEFAULT_M_GRID if m < extreme] or [DEFAULT_M_GRID[0]]
+        ratios = _nested_ratios((signed > m for m in ms), window)
         profile = tuple((1.0 / m, r) for m, r in zip(ms, ratios))
         return IndexEstimate(target, profile, _plateau_estimate(ratios, stability_tol))
     grid = _validate_grid(eps_grid)
-    ratios = [
-        lower_density(np.abs(values - target) < eps, window) for eps in grid
-    ]
+    dist = np.abs(values - target)
+    ratios = _nested_ratios((dist < eps for eps in grid), window)
     profile = tuple(zip(grid, ratios))
     return IndexEstimate(target, profile, _plateau_estimate(ratios, stability_tol))
 
@@ -256,10 +290,9 @@ def set_index(
 ) -> IndexEstimate:
     """Convergence index of the prefix relative to an interval union."""
     grid = _validate_grid(eps_grid)
-    ratios = [
-        lower_density(targets.inflate(eps).contains(prefix.values), window)
-        for eps in grid
-    ]
+    ratios = _nested_ratios(
+        (targets.inflate(eps).contains(prefix.values) for eps in grid), window
+    )
     profile = tuple(zip(grid, ratios))
     return IndexEstimate(targets, profile, _plateau_estimate(ratios, stability_tol))
 

@@ -44,7 +44,7 @@ from .density import (
     tail_values,
 )
 from .lagrange import ChebyshevGrid, lagrange_at_jump
-from .piecewise import JumpFunction, node_offsets, pure_step
+from .piecewise import JumpFunction, n_array, node_offsets, pure_step
 from .shepard import ShepardConfig, shepard_at_jump, step_sweep
 from .specfun import SHEPARD_S_MAX, SHEPARD_S_MIN
 from .theory import (
@@ -415,7 +415,7 @@ def compare(cfg: ExperimentConfig) -> ComparisonReport:
 
 def _run_columns(cfg: ExperimentConfig, prefix: SequencePrefix) -> dict[str, list]:
     """The run's columns by name: n, the node offset, is_node and value."""
-    ns = np.fromiter(cfg.ns(), dtype=int)
+    ns = n_array(cfg.ns())
     ratio, shift = cfg.location_ratio(), 0
     if cfg.operator == LAGRANGE:
         shift = 0.5

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import digamma, zeta
 
-from .piecewise import OFFSET_TOL, JumpFunction, node_offsets
+from .piecewise import OFFSET_TOL, JumpFunction, n_array, node_offsets
 from .specfun import SHEPARD_S_MAX, SHEPARD_S_MIN
 
 
@@ -103,6 +103,11 @@ def step_sweep(f: JumpFunction, s: float, n_values) -> np.ndarray:
     steps qualify) and weights the limits f.step_limits gives, the values f
     takes at the nodes, so the values equal shepard_at_jump for each n.
 
+    n_values holds the grid orders n >= 1: a range, built into the sweep's
+    own array with np.arange, or any other sequence of ints (a list, an
+    integer array), read with np.asarray.  The result has one value per
+    order, in the same order.
+
     For s > 1 each tail zeta(s, c) carries the 1/(s-1) pole, which cancels
     in the difference, so the absolute error grows roughly as 4e-17/(s-1),
     up to about 4e-11 at s = 1 + 1e-6 and 4e-8 at s = 1 + 1e-9 for n <= 10^4.
@@ -115,7 +120,7 @@ def step_sweep(f: JumpFunction, s: float, n_values) -> np.ndarray:
             f"s={s} outside supported box [{SHEPARD_S_MIN}, {SHEPARD_S_MAX}]"
         )
     jump = f.jumps[0]
-    n_arr = np.fromiter(n_values, dtype=int)
+    n_arr = n_array(n_values)
     k0, num, den, node = node_offsets(jump.x, n_arr, 0)
     live = ~node
     # rebinding frees the full-length arrays before the sums, which keeps

@@ -1,11 +1,16 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jumpspectra import density
 from jumpspectra.density import (
+    DEFAULT_EPS_GRID,
+    DEFAULT_M_GRID,
+    DEFAULT_STABILITY_TOL,
     IntervalUnion,
     SequencePrefix,
     complement_identity_check,
@@ -17,6 +22,7 @@ from jumpspectra.density import (
     tail_values,
     upper_density,
 )
+from jumpspectra.density import _plateau_estimate
 
 from oracles import count_fraction, weyl_sequence
 
@@ -274,3 +280,163 @@ class TestClusters:
             direct = empirical_index(prefix, cluster.center).estimate
             assert direct >= cluster.empirical_index - 0.02
         assert index_sum_audit(report)
+
+
+def naive_extremes(member, window):
+    """min and max of Fraction(c_n, n) over the tail window, by direct counting."""
+    n_total = len(member)
+    start = max(1, math.ceil(n_total * window))
+    ratios = [Fraction(sum(member[:n]), n) for n in range(start, n_total + 1)]
+    return min(ratios), max(ratios)
+
+
+windows = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(min_value=0.0, max_value=1.0))
+
+
+class TestWindow:
+    BAD = [1.5, 2.0, -0.1, -1e-300, math.nan, math.inf, -math.inf]
+
+    @pytest.mark.parametrize("window", BAD)
+    def test_out_of_range_window_rejected(self, window):
+        member = [True, False] * 5
+        prefix = SequencePrefix(np.cos(np.arange(1, 41) * math.pi / 2))
+        for call in (
+            lambda: lower_density(member, window=window),
+            lambda: upper_density(member, window=window),
+            lambda: complement_identity_check(member, window=window),
+            lambda: empirical_index(prefix, 0.0, window=window),
+            lambda: empirical_index(prefix, math.inf, window=window),
+            lambda: detect_clusters(prefix, gap=0.5, window=window),
+        ):
+            with pytest.raises(ValueError, match="window"):
+                call()
+
+    @given(st.lists(st.booleans(), min_size=1, max_size=60), windows)
+    @settings(max_examples=200, deadline=None)
+    def test_window_counts_match_naive(self, member, window):
+        lo, hi = naive_extremes(member, window)
+        assert lower_density(member, window) == float(lo)
+        assert upper_density(member, window) == float(hi)
+        lo_c, hi_c = naive_extremes([not m for m in member], window)
+        assert lo == 1 - hi_c and lo_c == 1 - hi
+        assert complement_identity_check(member, window)
+
+    @pytest.mark.parametrize("member", [[True], [False], [True, False], [False, True],
+                                        [True, True], [False, False]])
+    @pytest.mark.parametrize("window", [0.0, 0.3, 0.5, 0.7, 1.0])
+    def test_one_and_two_values(self, member, window):
+        # N = 2: window <= 1/2 starts the window at n = 1, window > 1/2 at n = N
+        lo, hi = naive_extremes(member, window)
+        assert lower_density(member, window) == float(lo)
+        assert upper_density(member, window) == float(hi)
+        assert complement_identity_check(member, window)
+
+    def test_window_edges(self):
+        member = [False, True, True, False, True]
+        # start = 1: the first ratio 0/1 is in the window
+        assert lower_density(member, 0.0) == lower_density(member, 0.2) == 0.0
+        # start = N: only the last ratio 3/5 is in the window
+        assert lower_density(member, 1.0) == upper_density(member, 0.81) == 0.6
+
+
+def _finite_profile(values, target, grid, window):
+    """The index profile by its definition: one lower_density per eps."""
+    return [(eps, lower_density(np.abs(values - target) < eps, window)) for eps in grid]
+
+
+def _infinite_profile(values, sign, window):
+    extreme = float(np.max(sign * values))
+    ms = [m for m in DEFAULT_M_GRID if m < extreme]
+    if not ms:
+        return None
+    return [(1.0 / m, lower_density(sign * values > m, window)) for m in ms]
+
+
+def _assert_same(est, profile):
+    ratios = [r for _, r in profile]
+    assert est.eps_profile == tuple(profile)
+    assert est.estimate == _plateau_estimate(ratios, DEFAULT_STABILITY_TOL)
+
+
+@st.composite
+def few_valued_prefixes(draw, pool):
+    """Prefixes over a few distinct values, so memberships tie across eps."""
+    distinct = draw(st.lists(pool, min_size=1, max_size=4, unique=True))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=80))
+    return np.array([distinct[i] for i in picks]), distinct
+
+
+class TestNestedProfiles:
+    """empirical_index and set_index against one lower_density per eps or M."""
+
+    @given(st.data(), windows)
+    @settings(max_examples=200, deadline=None)
+    def test_finite_target(self, data, window):
+        values, distinct = data.draw(
+            few_valued_prefixes(st.floats(min_value=-2.0, max_value=2.0, width=32))
+        )
+        target = data.draw(st.sampled_from(distinct) | st.floats(min_value=-2.0, max_value=2.0))
+        # eps at exactly the distance of a value, where the strict < decides,
+        # next to free draws
+        exact = [abs(v - target) for v in distinct]
+        free = data.draw(st.lists(st.floats(min_value=1e-6, max_value=4.0), max_size=6))
+        grid = sorted({e for e in exact + free if e > 0}, reverse=True)
+        if not grid:
+            grid = [0.5]
+        est = empirical_index(SequencePrefix(values), target, grid, window=window)
+        _assert_same(est, _finite_profile(values, target, grid, window))
+
+    @given(st.data(), windows, st.sampled_from([1.0, -1.0]))
+    @settings(max_examples=100, deadline=None)
+    def test_infinite_target(self, data, window, sign):
+        # magnitudes on and between the M grid 10 .. 10^6, where the strict > decides
+        pool = st.sampled_from([0.0, 5.0, 10.0, 50.0, 100.0, 1e3, 2e3, 1e4, 1e5, 5e5, 1e6, 3e6])
+        values, _ = data.draw(few_valued_prefixes(pool))
+        values = sign * values
+        est = empirical_index(SequencePrefix(values), sign * math.inf, window=window)
+        profile = _infinite_profile(values, sign, window)
+        if profile is None:
+            assert est.eps_profile == ((1.0 / DEFAULT_M_GRID[0], 0.0),)
+            assert est.estimate == 0.0
+        else:
+            _assert_same(est, profile)
+
+    @given(st.data(), windows)
+    @settings(max_examples=100, deadline=None)
+    def test_set_index(self, data, window):
+        values, distinct = data.draw(
+            few_valued_prefixes(st.floats(min_value=-2.0, max_value=2.0, width=32))
+        )
+        pairs = data.draw(
+            st.lists(
+                st.tuples(st.floats(min_value=-2.0, max_value=2.0, width=32),
+                          st.floats(min_value=0.0, max_value=1.0, width=32)),
+                min_size=1, max_size=3,
+            )
+        )
+        targets = IntervalUnion.from_pairs((a, a + w) for a, w in pairs)
+        # eps reaching a value exactly from an interval end, next to free draws
+        ends = [e for iv in targets.intervals for e in iv]
+        exact = [abs(v - e) for v in distinct for e in ends]
+        free = data.draw(st.lists(st.floats(min_value=1e-6, max_value=4.0), max_size=6))
+        grid = sorted({e for e in exact + free if e > 0}, reverse=True) or [0.5]
+        est = set_index(SequencePrefix(values), targets, grid, window=window)
+        profile = [
+            (eps, lower_density(targets.inflate(eps).contains(values), window)) for eps in grid
+        ]
+        _assert_same(est, profile)
+
+    @pytest.mark.parametrize("center", [1.0, 0.5, 0.25])
+    def test_one_scan_per_distinct_set(self, monkeypatch, center):
+        # values settling on two limits: many eps of the grid give one set
+        n = np.arange(1, 2001, dtype=float)
+        values = np.where(n % 2 == 0, 1.0 + 1e-5 / n, 0.5 + 0.3 / n)
+        sets = {np.count_nonzero(np.abs(values - center) < e) for e in DEFAULT_EPS_GRID}
+        scans = []
+        monkeypatch.setattr(
+            density, "lower_density", lambda m, w: scans.append(m) or lower_density(m, w)
+        )
+        est = empirical_index(SequencePrefix(values), center)
+        assert len(scans) == len(sets) < len(DEFAULT_EPS_GRID)
+        monkeypatch.undo()
+        _assert_same(est, _finite_profile(values, center, DEFAULT_EPS_GRID, 0.5))
