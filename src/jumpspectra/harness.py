@@ -44,6 +44,7 @@ from .density import (
     tail_values,
 )
 from .lagrange import ChebyshevGrid, lagrange_at_jump
+from .lagrange import step_sweep as lagrange_step_sweep
 from .piecewise import JumpFunction, n_array, node_offsets, pure_step
 from .shepard import ShepardConfig, shepard_at_jump, step_sweep
 from .specfun import SHEPARD_S_MAX, SHEPARD_S_MIN
@@ -213,7 +214,8 @@ def run_sequence(cfg: ExperimentConfig) -> SequencePrefix:
     """Operator values at the selected jump for n = 1, 1+stride, ...
 
     Pure and deterministic: the value at each position depends only on the
-    configuration.
+    configuration.  A Lagrange step (f.step_limits set) goes through
+    lagrange.step_sweep, whose values equal lagrange_at_jump's at each n.
     """
     f, i = cfg.resolved_fn()
     ns = cfg.ns()
@@ -230,6 +232,8 @@ def run_sequence(cfg: ExperimentConfig) -> SequencePrefix:
         return SequencePrefix(values)
     theta0 = cfg.location_ratio()
     angle = theta0 if isinstance(theta0, Fraction) else math.pi * theta0
+    if f.step_limits is not None:
+        return SequencePrefix(lagrange_step_sweep(f, angle, ns))
     values = np.array(
         [lagrange_at_jump(ChebyshevGrid(n), f, i, theta0=angle) for n in ns]
     )

@@ -20,6 +20,7 @@ from jumpspectra.harness import (
     write_run_csv,
 )
 from jumpspectra.density import SequencePrefix
+from jumpspectra.lagrange import ChebyshevGrid, lagrange_at_jump
 from jumpspectra.piecewise import ContinuousPart, from_steps, save_descriptor
 from jumpspectra.theory import Irrational
 
@@ -58,6 +59,15 @@ class TestRunSequence:
         cfg = lagrange_cfg(n_max=100, stride=3)
         prefix = run_sequence(cfg)
         assert len(prefix.values) == math.ceil(100 / 3)
+
+    @pytest.mark.parametrize("location", [Fraction(2, 7), Irrational(math.sqrt(2) - 1)])
+    def test_lagrange_step_sweep_matches_per_n(self, location):
+        cfg = lagrange_cfg(location=location, n_max=300, stride=7)
+        f, i = cfg.resolved_fn()
+        ratio = cfg.location_ratio()
+        angle = ratio if isinstance(ratio, Fraction) else math.pi * ratio
+        expected = [lagrange_at_jump(ChebyshevGrid(n), f, i, angle) for n in cfg.ns()]
+        assert run_sequence(cfg).values.tolist() == expected
 
     def test_user_descriptor(self, tmp_path):
         f = from_steps(ContinuousPart((0.0,)), [(0.5, 1.0, 0.25)], (0.0, 1.0))

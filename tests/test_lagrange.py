@@ -9,13 +9,16 @@ from hypothesis import strategies as st
 
 from jumpspectra.lagrange import (
     ChebyshevGrid,
-    _rational_cos_n_theta,
+    _brackets,
+    _cos_n_theta,
+    _one_side,
     _rational_half_angles,
     fundamental_eval,
     fundamental_product_reference,
     fundamental_weights,
     lagrange_at_jump,
     lagrange_eval,
+    step_sweep,
 )
 from jumpspectra.piecewise import (
     ContinuousPart,
@@ -274,25 +277,38 @@ class TestAtJump:
         assert -0.2 < value < 1.2
 
 
-def _general_sum(grid, f, theta0):
-    """Weights against f at every node, from the angles lagrange_at_jump uses."""
+def _general_weights(grid, theta0):
+    """Every node's weight, from the angles lagrange_at_jump uses."""
     n = grid.n
+    cn = _cos_n_theta(theta0, n)
+    half_angles = None
     if isinstance(theta0, Fraction):
         p, q = theta0.numerator, theta0.denominator
-        x0, cn = math.cos(math.pi * p / q), _rational_cos_n_theta(p, q, n)
         half_angles = _rational_half_angles(p, q, n)
-    else:
-        x0, cn = math.cos(theta0), math.cos(n * theta0)
+        theta0 = math.pi * p / q
+    x0 = math.cos(theta0)
+    if half_angles is None:
         half_angles = ((grid.thetas + theta0) / 2, (grid.thetas - theta0) / 2)
-    return float(fundamental_weights(grid, x0, cn, half_angles) @ f.eval_many(grid.nodes))
+    return fundamental_weights(grid, x0, cn, half_angles)
+
+
+def _general_sum(grid, f, theta0):
+    """Weights against f at every node, from the angles lagrange_at_jump uses."""
+    return float(_general_weights(grid, theta0) @ f.eval_many(grid.nodes))
 
 
 def _general_path(grid, f, theta0):
-    """The general path of lagrange_at_jump: like _general_sum, but on a float
-    angle fundamental_weights forms the half-angles from acos(x0)."""
+    """The general path of lagrange_at_jump: like _general_sum, but where the
+    half-angles are not exact (a float angle, or 4nq > 2**53)
+    fundamental_weights forms them from acos(x0)."""
     if isinstance(theta0, Fraction):
-        return _general_sum(grid, f, theta0)
-    x0, cn = math.cos(theta0), math.cos(grid.n * theta0)
+        p, q = theta0.numerator, theta0.denominator
+        if _rational_half_angles(p, q, grid.n) is not None:
+            return _general_sum(grid, f, theta0)
+        x0 = math.cos(math.pi * p / q)
+    else:
+        x0 = math.cos(theta0)
+    cn = _cos_n_theta(theta0, grid.n)
     return float(fundamental_weights(grid, x0, cn) @ f.eval_many(grid.nodes))
 
 
@@ -436,3 +452,148 @@ class TestOneSideSum:
         f = from_steps(ContinuousPart((0.0,)), [(0.5, 1.0, 0.3)], (-0.5, 1.0))
         with pytest.raises(ValueError):
             lagrange_at_jump(ChebyshevGrid(10), f, 0, Fraction(1, 3))
+
+
+@st.composite
+def _sweep_cases(draw):
+    """(f, theta0, n_values) for step_sweep: a step at an exact angle pi*p/q
+    (q up to 10^6, or past 2**51 so that 4nq > 2**53), at a float angle, or
+    at a float angle just past a node whose jump sits just before it."""
+    kind = draw(st.sampled_from(["small q", "large q", "huge q", "float", "beside a node"]))
+    limits = draw(st.sampled_from([(0.0, 1.0), (1.0, 0.0), (-0.75, 2.5), (3.0, 0.5), (0.0, -2.0)]))
+    d = draw(st.floats(min_value=-2.0, max_value=2.0))
+    if draw(st.booleans()):
+        n_values = range(
+            draw(st.integers(1, 300)), draw(st.integers(301, 1500)), draw(st.integers(11, 97))
+        )
+    else:
+        n_values = draw(st.lists(st.integers(1, 1500), min_size=1, max_size=20))
+    if kind == "beside a node":
+        n0 = draw(st.integers(2, 1500))
+        k = draw(st.integers(1, n0))
+        delta = draw(st.floats(min_value=1e-12, max_value=1e-9))
+        theta_k = (2 * k - 1) * math.pi / (2 * n0)
+        theta0, x = theta_k + delta, math.cos(theta_k - delta)
+        n_values = list(n_values) + [n0]
+    elif kind == "float":
+        theta0 = math.pi * draw(st.floats(min_value=0.01, max_value=0.99))
+        x = math.cos(theta0)
+    else:
+        q = {"small q": draw(st.integers(2, 12)), "large q": draw(st.integers(13, 10**6)),
+             "huge q": draw(st.integers(2**51, 2**60))}[kind]
+        # past 2**51, p/q near 0 or 1 would put the jump on the boundary
+        margin = q // 50 if kind == "huge q" else 1
+        p = draw(st.integers(margin, q - margin))
+        assume(math.gcd(p, q) == 1)
+        theta0 = Fraction(p, q)
+        x = math.cos(math.pi * p / q)
+    left, right = limits
+    if draw(st.booleans()):
+        # a descriptor whose declared left limit is 1e-12 off the base
+        f = from_descriptor_dict({
+            "domain": [-1.0, 1.0], "poly": [left],
+            "jumps": [{"x": x, "left": left + 1e-12, "right": right, "value": d}],
+        })
+    else:
+        f = _step(x, limits, d)
+    return f, theta0, n_values
+
+
+class TestStepSweep:
+    """step_sweep against lagrange_at_jump, one order at a time, and against
+    the full weight sums."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=_sweep_cases())
+    def test_matches_per_n_evaluation(self, case):
+        f, theta0, n_values = case
+        values = step_sweep(f, theta0, n_values)
+        assert values.shape == (len(n_values),)
+        ns = np.asarray(list(n_values))
+        ratio = theta0 if isinstance(theta0, Fraction) else theta0 / math.pi
+        k0, _, _, is_node = node_offsets(ratio, ns, 0.5)
+        served = np.zeros(ns.size, dtype=bool)
+        served[~is_node] = _one_side(f, theta0, ns[~is_node], k0[~is_node].astype(np.int64))[0]
+        left, right = f.step_limits
+        for n, value, node, one_side in zip(ns.tolist(), values, is_node, served):
+            grid = ChebyshevGrid(n)
+            assert value == lagrange_at_jump(grid, f, 0, theta0)
+            if node:
+                assert value == f.jumps[0].value
+            elif one_side:
+                # the general sum is other * sum(w) + (summed - other) * the
+                # summed side's weights, and the one-side sum puts 1 for
+                # sum(w): they differ by the limit not summed times
+                # sum(w) - 1, which rounding makes up to about 1e-12 here
+                # (the rounding of cos(n*theta0) over |cos(n*theta0)|, or of
+                # a half-angle near pi), plus the rounding of the summed side
+                weights = _general_weights(grid, theta0)
+                tol = (1e-14 + 2 * max(abs(left), abs(right)) * abs(weights.sum() - 1.0)
+                       + 16 * np.finfo(float).eps * abs(right - left) * np.abs(weights).sum())
+                assert value == pytest.approx(_general_sum(grid, f, theta0), abs=tol)
+            else:
+                assert value == _general_path(grid, f, theta0)
+
+    def test_takes_the_general_path_only_where_the_bracket_fails(self):
+        # the jump of a descriptor sits 3e-10 (in angle) before node k = 13
+        # of n = 40 and the location 3e-10 past it
+        n, k = 40, 13
+        theta_k = (2 * k - 1) * math.pi / (2 * n)
+        theta0 = theta_k + 3e-10
+        f = _step(math.cos(theta_k - 3e-10), (0.0, 1.0), 0.3)
+        with mock.patch.object(
+            JumpFunction, "eval_many", autospec=True, side_effect=JumpFunction.eval_many
+        ) as spy:
+            values = step_sweep(f, theta0, range(38, 43))
+        assert [call.args[1].size for call in spy.call_args_list] == [n]
+        assert values[2] == _general_path(ChebyshevGrid(n), f, theta0)
+
+    def test_exact_half_angles_end_at_2_53(self):
+        # 4nq <= 2**53 up to n = 127 here; with both limits nonzero, n = 128
+        # takes the general path
+        ratio = Fraction(5864062014805, 2**44 + 1)
+        f = _step(math.cos(math.pi * ratio.numerator / ratio.denominator), (-0.75, 2.5), 0.3)
+        with mock.patch.object(
+            JumpFunction, "eval_many", autospec=True, side_effect=JumpFunction.eval_many
+        ) as spy:
+            step_sweep(f, ratio, [127, 128])
+        assert [call.args[1].size for call in spy.call_args_list] == [128]
+
+    def test_gate_keeps_two_node_tolerances_from_a_node(self):
+        n, k = 40, 13
+        x_k = math.cos((2 * k - 1) * math.pi / (2 * n))
+        for gap, inside in ((1.5e-13, False), (3e-13, True)):
+            assert _brackets(np.array([n]), np.array([k]), x_k - gap)[0] == inside
+
+    def test_empty_orders(self):
+        f = _step(0.5, (0.0, 1.0), 0.3)
+        assert step_sweep(f, Fraction(1, 3), range(1, 1)).size == 0
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            step_sweep(_two_jump_at(Fraction(1, 3))[0], Fraction(1, 3), range(1, 10))
+        with pytest.raises(ValueError):
+            step_sweep(_step(0.5, (0.0, 1.0), 0.3), Fraction(1, 3), [0, 1])
+
+    @pytest.mark.parametrize("ratio, ns", [
+        (Fraction(1, 3), [100, 1000, 2999]),
+        (Fraction(2, 3), [101, 1500, 3000]),
+        (Fraction(7, 19), [17, 777, 2500]),
+    ])
+    def test_error_against_a_40_digit_sum(self, ratio, ns):
+        mpmath = pytest.importorskip("mpmath")
+        p, q = ratio.numerator, ratio.denominator
+        f = _step(math.cos(math.pi * p / q), (0.0, 1.0), 0.3)
+        values = step_sweep(f, ratio, ns)
+        with mpmath.workdps(40):
+            theta0 = mpmath.pi * p / q
+            for n, value in zip(ns, values):
+                k0 = int(node_offsets(ratio, n, 0.5)[0])
+                scale = mpmath.cos(n * theta0) / (2 * n)
+                exact = sum(
+                    scale * (-1) ** (k - 1)
+                    * (mpmath.cot(((2 * k - 1) * mpmath.pi / (2 * n) + theta0) / 2)
+                       + mpmath.cot(((2 * k - 1) * mpmath.pi / (2 * n) - theta0) / 2))
+                    for k in range(1, k0 + 1)
+                )
+                assert abs(value - float(exact)) < 1e-15

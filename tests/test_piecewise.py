@@ -97,6 +97,42 @@ class TestEval:
         assert np.max(np.abs(f.eval_many(xs) - np.polyval(coeffs[::-1], xs))) <= 1e-14
 
 
+def _eval_by_searchsorted(f, xs):
+    """eval_many's definition: Horner over every coefficient from zero, and
+    the region of each point from searchsorted."""
+    out = np.zeros_like(xs)
+    for c in reversed(f.base.poly):
+        out *= xs
+        out += c
+    locs = np.array([j.x_float for j in f.jumps])
+    offsets = np.concatenate([[0.0], np.cumsum([j.right - j.left for j in f.jumps])])
+    out += offsets[np.searchsorted(locs, xs, side="right")]
+    for j in f.jumps:
+        out[np.abs(xs - j.x_float) <= NODE_ATOL] = j.value
+    return out
+
+
+class TestEvalMatchesDefinition:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        poly=st.lists(st.sampled_from([0.0, 1.0, -0.5, 2.25, 1e-3]), min_size=1, max_size=5),
+        steps=st.lists(
+            st.tuples(st.floats(-0.95, 0.95), st.sampled_from([1.0, -0.5, 3.0]), st.floats(-1, 1)),
+            max_size=5, unique_by=lambda t: round(t[0], 6),
+        ),
+        xs=st.lists(st.floats(-1.0, 1.0), max_size=40),
+    )
+    def test_bit_identical(self, poly, steps, xs):
+        f = from_steps(ContinuousPart(tuple(poly)), steps, (-1.0, 1.0))
+        # the jump locations themselves and points beside them
+        xs = np.array(xs + [x + d for x, _, _ in steps for d in (-NODE_ATOL, 0.0, 2 * NODE_ATOL)])
+        xs = np.clip(xs, -1.0, 1.0)
+        assert np.array_equal(f.eval_many(xs), _eval_by_searchsorted(f, xs))
+
+    def test_empty_polynomial_is_the_zero_base(self):
+        assert ContinuousPart(()).eval_many(np.array([0.5, -1.0])).tolist() == [0.0, 0.0]
+
+
 class TestLimits:
     def test_pure_step_limits(self):
         h = pure_step(0.0, 0.7, LEFT0_RIGHT1, (-1.0, 1.0))
