@@ -17,36 +17,43 @@ difference:
 
     ell_{n,k} = cos(n theta)/(2n) * (cot a_k + cot b_k) * (-1)^(k-1).
 
-fundamental_weights, lagrange_eval, lagrange_at_jump and step_sweep all
-evaluate that one kernel.  Near coincidence b_k is small and carries the whole
-singularity, so its relative accuracy sets the accuracy of the sum.  When
-theta = pi p/q is an exact rational angle, lagrange_at_jump and step_sweep
-form the half-angles from exact integer numerators,
+Every weight is built from the two node gaps of theta: with
+theta_{k0} < theta < theta_{k0+1}, D = theta_{k0+1} - theta and
+D' = theta - theta_{k0}, both in (0, pi/n).  With h = pi/(2n),
 
-    (theta_k -+ theta)/2 = pi ((2k-1) q -+ 2np) / (4nq),
+    b_k = D/2 + (k-k0-1) h  (k > k0),    b_k = -(D'/2 + (k0-k) h)  (k <= k0),
+    cos(n theta) = (-1)^k0 sin(n min(D, D')),
 
-so b_k is exact to one rounding however close theta sits to a node; a float
-angle uses (theta_k -+ theta)/2 directly.  The O(n^2) product form is
-retained only as a test oracle.
+and a_k = theta + b_k up to k = n - k0, the last k with a_k < pi/2; past
+it a_k nears pi, and cot a_k = cot(b_k - (pi - theta)).  The full weight
+vector forms every b_k from the nearer of the two nodes, j, as
+(k - j) h + (theta_j - theta)/2, whose second term is at most h/2.  So no
+step loses more than half of its larger term, and a weight is as accurate
+as the gaps, however close theta sits to a node, to 0 or to pi.  On an
+exact angle theta = pi p/q the gaps come from node_offsets' integers,
+D' = pi num/(n den) and D = pi (den - num)/(n den); on a float angle from
+the residuals (2k0+1) pi - 2n theta and 2n theta - (2k0-1) pi in
+double-double arithmetic.  fundamental_weights, lagrange_eval,
+lagrange_at_jump and step_sweep all evaluate that one kernel.  The O(n^2)
+product form is retained only as a test oracle.
 
 At a pure step (one jump on a constant base, JumpFunction.step_limits) the
-nodes on each side of the jump all sample one limit, and sum_k ell_{n,k} = 1,
-so
+nodes on each side of the jump all sample one limit, and sum_k ell_{n,k} = 1
+to rounding, so
 
     L_n f(x0) = left + (right - left) * sum_{theta_k < theta0} ell_{n,k}(x0),
 
 and the kernel runs over the shorter side only: min(k0, n - k0) tangent
-pairs, no evaluation of f at the nodes and no dot product.  Float weights
-sum to 1 only to rounding, so on a float angle the one-side sum is taken
-only when one limit is 0, over the other limit's side.  step_sweep computes
-that sum for every n of a run in batched passes: one node_offsets call, the
-gate as array tests, cos(n*theta0) once per distinct residue, and the terms
-of many orders laid out in blocks of whole rows, each row summed over its
-own terms.  lagrange_at_jump makes the same call with one row, so a
-sweep value equals the per-n value bit for bit.  Every other case, and
-every order the gate turns away, gets the full weight vector against f at
-every node, one order at a time.  A grid computes its angles and nodes only
-when they are used.
+pairs, from the jump outward, no evaluation of f at the nodes and no dot
+product.  On the shorter side every a_k lies on one side of pi/2.
+step_sweep computes that sum for every n of a run in batched passes: one
+node_offsets call, the gate as array tests, and the terms of many orders
+laid out in blocks of whole rows, each row summed over its own terms.
+lagrange_at_jump at a step is a one-order step_sweep, so a sweep value
+equals the per-n value bit for bit.  Every other case, and every order the
+gate turns away, gets the full weight vector against f at every node, one
+order at a time.  A grid computes its angles and nodes only when they are
+used.
 
 The node offset of a jump location x0 = cos(theta0) is
 sigma_n = frac(n*theta0/pi + 1/2), the fractional position of theta0 inside
@@ -68,8 +75,8 @@ import numpy as np
 
 from .piecewise import NODE_ATOL, JumpFunction, n_array, node_offsets
 
-# integers up to this bound are exact doubles
-_EXACT_DOUBLE_INT = 2**53
+# pi = math.pi + _PI_LO to about 1e-32
+_PI_LO = 1.2246467991473532e-16
 # step_sweep's one-side sum: terms per block, whose two buffers take
 # 256 KB, and orders per call, which keeps the per-order arrays near 100 KB.
 # With both, the benchmark's lagrange_sweep peak RSS reads about 0.5 MB
@@ -112,40 +119,94 @@ def _coincident_node(grid: ChebyshevGrid, x: float, theta: float):
     return None
 
 
-def _cot_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """cot a + cot b, written into a; b is overwritten too."""
-    np.tan(a, out=a)
-    np.tan(b, out=b)
-    np.divide(1.0, a, out=a)
-    np.divide(1.0, b, out=b)
-    a += b
-    return a
+def _split(a):
+    """a = high + low, high holding the leading 26 bits (Dekker)."""
+    big = 134217729.0 * a  # 2**27 + 1
+    high = big - (big - a)
+    return high, a - high
 
 
-def _weights(n: int, a: np.ndarray, b: np.ndarray, cos_n_theta: float) -> np.ndarray:
-    """cos(n theta)/(2n) * (cot a_k + cot b_k) * (-1)^(k-1), k = 1..n.
+def _two_product(a, b):
+    """(p, e) with p = a*b rounded and a*b = p + e exactly, for floats or
+    float arrays (Python 3.11 has no math.fma)."""
+    p = a * b
+    (a_hi, a_lo), (b_hi, b_lo) = _split(a), _split(b)
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
 
-    a and b are the half-angles (theta_k + theta)/2 and (theta_k - theta)/2;
-    both arrays are overwritten.
+
+def _float_gaps(theta, n, k0):
+    """(D, D') of the float angle theta at the orders n with node index k0.
+
+    2n D = (2k0+1) pi - 2n theta and -2n D' = (2k0-1) pi - 2n theta, each
+    from exact products and pi = math.pi + _PI_LO; the leading difference
+    is exact or at least half the residual, so both are accurate to a few
+    roundings however small.
     """
-    a = _cot_sum(a, b)
-    a *= cos_n_theta / (2 * n)
-    a[1::2] *= -1.0
-    return a
+    twice_n = 2.0 * n
+    t, t_err = _two_product(twice_n, theta)
+    gaps = []
+    for m in (2 * k0 + 1.0, 2 * k0 - 1.0):
+        s, s_err = _two_product(m, math.pi)
+        gaps.append(((s - t) + ((s_err - t_err) + m * _PI_LO)) / twice_n)
+    return gaps[0], -gaps[1]
 
 
-def fundamental_weights(
-    grid: ChebyshevGrid,
-    x: float,
-    cos_n_theta: float | None = None,
-    half_angles: tuple[np.ndarray, np.ndarray] | None = None,
-) -> np.ndarray:
+def _location(theta0, n):
+    """(is_node, k0, D, D', angle, supplement) of the angle theta0 in the
+    grids of the orders n.
+
+    theta0 is a Fraction p/q for pi*p/q or a float angle; n an int or an
+    integer array.  is_node and k0 are node_offsets' (shift 1/2); D and D'
+    are the gaps theta_{k0+1} - theta0 and theta0 - theta_{k0}, positive
+    at every off-node row; angle is theta0 as a double and supplement
+    pi - theta0.
+    """
+    if isinstance(theta0, Fraction):
+        p, q = theta0.numerator, theta0.denominator
+        k0, num, den, is_node = node_offsets(theta0, n, 0.5)
+        # sigma_n = num/den = n (theta0 - theta_k0)/pi, with num < den <= 2q
+        before, after = num, den - num
+        if isinstance(n, np.ndarray):
+            k0, before, after = k0.astype(np.int64), before.astype(float), after.astype(float)
+        scale = math.pi / (n * float(den))
+        return is_node, k0, after * scale, before * scale, math.pi * p / q, math.pi * (q - p) / q
+    k0, _, _, is_node = node_offsets(theta0 / math.pi, n, 0.5)
+    return (is_node, k0, *_float_gaps(theta0, n, k0), theta0, (math.pi - theta0) + _PI_LO)
+
+
+def _cot_sum(ab: np.ndarray) -> np.ndarray:
+    """cot a + cot b for the stacked half-angles ab = (a, b), written into a."""
+    np.tan(ab, out=ab)
+    np.divide(1.0, ab, out=ab)
+    ab[0] += ab[1]
+    return ab[0]
+
+
+def _weights(n: int, k0: int, gap: float, gap_before: float, angle: float, supplement: float):
+    """(w, scale) with ell_{n,k} = scale * w[k-1], k = 1..n, at the angle
+    with node index k0 and gaps D = gap and D' = gap_before (supplement =
+    pi - angle); a caller that sums the weights against values scales the
+    sum."""
+    ab = np.empty((2, n))
+    a, b = ab[0], ab[1]
+    # b_k = (k - j) h + (theta_j - theta)/2 from the nearer node j, whose
+    # half-gap is at most h/2: every b_k keeps half its leading term
+    j, half_gap = (k0, -gap_before / 2) if gap_before <= gap else (k0 + 1, gap / 2)
+    np.multiply(np.arange(1 - j, n + 1 - j, dtype=float), math.pi / (2 * n), out=b)
+    b += half_gap
+    np.add(b, angle, out=a)
+    # a_k passes pi/2 after k = n - k0: there a_k - pi stands in for it
+    np.subtract(b[n - k0:], supplement, out=a[n - k0:])
+    weights = _cot_sum(ab)
+    # (-1)^(k-1) cos(n theta) = (-1)^(k0+k-1) sin(n min(D, D'))
+    weights[(k0 + 1) % 2::2] *= -1.0
+    return weights, math.sin(n * min(gap, gap_before)) / (2 * n)
+
+
+def fundamental_weights(grid: ChebyshevGrid, x: float) -> np.ndarray:
     """All ell_{n,k}(x), k = 1..n, via the trigonometric form.
 
-    cos_n_theta overrides cos(n*theta) and half_angles the arrays
-    ((theta_k + theta)/2, (theta_k - theta)/2); the caller can supply exactly
-    reduced values when theta is a rational multiple of pi.  A node within
-    NODE_ATOL of x gets the cardinal weights.
+    A node within NODE_ATOL of x gets the cardinal weights.
     """
     if not -1.0 <= x <= 1.0:
         raise ValueError("argument must lie in [-1, 1]")
@@ -155,11 +216,13 @@ def fundamental_weights(
         out = np.zeros(grid.n)
         out[j] = 1.0
         return out
-    if cos_n_theta is None:
-        cos_n_theta = math.cos(grid.n * theta)
-    if half_angles is None:
-        half_angles = ((grid.thetas + theta) / 2, (grid.thetas - theta) / 2)
-    return _weights(grid.n, *half_angles, cos_n_theta)
+    # more than NODE_ATOL from every node, theta is far enough from each
+    # node angle for floor(t_n) to be the node index and both gaps positive
+    n = grid.n
+    k0 = int(n * theta / math.pi + 0.5)
+    weights, scale = _weights(n, k0, *_float_gaps(theta, n, k0), theta, (math.pi - theta) + _PI_LO)
+    weights *= scale
+    return weights
 
 
 def fundamental_eval(grid: ChebyshevGrid, k: int, x: float) -> float:
@@ -184,42 +247,6 @@ def fundamental_product_reference(grid: ChebyshevGrid, k: int, x: float) -> floa
     return float(np.prod((x - others) / (xk - others)))
 
 
-def _cos_n_theta(theta0, n: int) -> float:
-    """cos(n*theta0); on an exact angle pi*p/q, n*p is reduced mod 2q exactly
-    before the single cosine call."""
-    if isinstance(theta0, Fraction):
-        p, q = theta0.numerator, theta0.denominator
-        return math.cos(math.pi * (n * p % (2 * q)) / q)
-    return math.cos(n * theta0)
-
-
-def _cos_n_thetas(theta0, ns: list[int]) -> np.ndarray:
-    """_cos_n_theta at each n, on an exact angle once per distinct n*p mod 2q
-    (a table of all 2q residues would cost O(q) whatever the n)."""
-    if not isinstance(theta0, Fraction):
-        return np.array([_cos_n_theta(theta0, n) for n in ns])
-    p, q = theta0.numerator, theta0.denominator
-    residues = [n * p % (2 * q) for n in ns]
-    cos = {r: _cos_n_theta(theta0, n) for r, n in dict(zip(residues, ns)).items()}
-    return np.array([cos[r] for r in residues])
-
-
-def _rational_half_angles(p: int, q: int, n: int):
-    """(theta_k + theta0)/2 and (theta_k - theta0)/2 for theta0 = pi p/q, k = 1..n.
-
-    Both are pi*m/(4nq) with the integer m = (2k-1) q +- 2np, |m| < 4nq;
-    None when 4nq passes 2**53, above which not every m is an exact double.
-    """
-    if 4 * n * q > _EXACT_DOUBLE_INT:
-        return None
-    scale = math.pi / (4 * n * q)
-    a = np.arange(q + 2 * n * p, (2 * n + 1) * q + 2 * n * p, 2 * q, dtype=float)
-    b = np.arange(q - 2 * n * p, (2 * n + 1) * q - 2 * n * p, 2 * q, dtype=float)
-    a *= scale
-    b *= scale
-    return a, b
-
-
 def _brackets(n: np.ndarray, k0: np.ndarray, *xs: float) -> np.ndarray:
     """For each row (n, k0): whether nodes k0 and k0 + 1 (1-based) of the
     n-th grid enclose every x with more than 2*NODE_ATOL to spare; a missing
@@ -239,138 +266,101 @@ def _brackets(n: np.ndarray, k0: np.ndarray, *xs: float) -> np.ndarray:
     return inside
 
 
-def _side_sums(theta0, exact: bool, n, lo, count) -> np.ndarray:
-    """sum_{k=lo}^{lo+count-1} (-1)^(k-1) (cot a_k + cot b_k) for each row.
+def _side_sums(n, gap, reach, count) -> np.ndarray:
+    """sum_{j<count} (-1)^j (cot x_j + cot(x_j - reach)) for each row, with
+    x_j = gap/2 + j pi/(2n).
 
-    Every count is >= 1.  The rows, taken in order of count, fill blocks of
-    up to _BLOCK terms (or one longer row): a block is a rectangle, one row
-    per grid and one column per k - lo, padded to its longest row, and is
-    computed by broadcasting into two buffers that every block reuses.  Each row is
-    summed over its own terms, so its sum does not depend on its block.
-    exact takes the half-angles pi*m/(4nq) of the exact angle pi*p/q =
-    theta0 (every 4nq <= 2**53); otherwise theta0 is a float angle and they
-    are (theta_k +- theta0)/2 with theta_k the doubles of
-    ChebyshevGrid.thetas.
+    A row is one side of the jump, from the jump outward: x_j = |b_k|, and
+    reach is theta0 on the side k <= k0 (x_j - reach = -a_k) and
+    pi - theta0 on the other (x_j - reach = a_k - pi), so a term is
+    -(cot a_k + cot b_k) on the first side and +(cot a_k + cot b_k) on the
+    second.  Every count is >= 1.  The rows, taken in order of count, fill
+    blocks of up to _BLOCK terms (or one longer row): a block is a
+    rectangle, one row per grid and one column per term, padded to its
+    longest row, and is computed by broadcasting into one buffer that every
+    block reuses.  Each row is summed over its own terms, so its sum does
+    not depend on its block.
     """
+    if not n.size:
+        return np.empty(0)
     order = np.argsort(count, kind="stable")
-    n, lo, count = n[order], lo[order], count[order]
+    n, count, reach = n[order], count[order], reach[order]
+    step, start = math.pi / (2 * n), gap[order] / 2
     size = max(_BLOCK, int(count[-1]))
-    a, b = np.empty(size), np.empty(size)
-    if exact:
-        p, q = theta0.numerator, theta0.denominator
-        step = 2 * q
-        first = (2 * lo - 1) * q
-        row_a = (first + 2 * p * n).astype(float)
-        row_b = (first - 2 * p * n).astype(float)
-        row_scale = math.pi / (4 * q * n).astype(float)
-    else:
-        step = 2
-        row_a = (2 * lo - 1).astype(float)
-        row_scale = (2 * n).astype(float)
-    # step * (k - lo): with the rows' first terms, the integers (2k-1) q +- 2np
-    # or 2k - 1, all below 2**53 and so exact as doubles
-    columns = np.arange(int(count[-1])) * float(step)
+    buffer = np.empty((2, size))
+    columns = np.arange(int(count[-1]), dtype=float)
     sums = np.empty(n.size)
     i = 0
     while i < n.size:
         fits = np.arange(1, min(n.size - i, size // int(count[i])) + 1)
         j = i + int(np.searchsorted(fits * count[i:i + fits.size], size, side="right"))
         rows, width = slice(i, j), int(count[j - 1])
-        x = a[:(j - i) * width].reshape(j - i, width)
-        y = b[:(j - i) * width].reshape(j - i, width)
-        np.add(row_a[rows, None], columns[:width], out=x)
-        if exact:
-            np.add(row_b[rows, None], columns[:width], out=y)
-            x *= row_scale[rows, None]
-            y *= row_scale[rows, None]
-        else:
-            x *= math.pi
-            x /= row_scale[rows, None]
-            np.subtract(x, theta0, out=y)
-            y /= 2
-            x += theta0
-            x /= 2
-        # the padding past a row's count holds finite values that no sum reads
-        _cot_sum(x, y)
-        x[:, 1::2] *= -1.0
+        xv = buffer[:, :(j - i) * width]
+        x, v = (half.reshape(j - i, width) for half in xv)
+        np.multiply(columns[:width], step[rows, None], out=x)
+        x += start[rows, None]
+        np.subtract(x, reach[rows, None], out=v)
+        # the padding past a row's count holds values that no sum reads
+        terms = _cot_sum(xv).reshape(j - i, width)
+        terms[:, 1::2] *= -1.0
         bounds = np.arange(j - i) * width
         bounds = np.column_stack((bounds, bounds + count[rows])).ravel()[:-1]
-        block = np.add.reduceat(x.ravel(), bounds)[::2]
-        # (-1)^(k-1) = (-1)^(k - lo) * (-1)^(lo - 1)
-        np.negative(block, out=block, where=lo[rows] % 2 == 0)
-        sums[rows] = block
+        sums[rows] = np.add.reduceat(terms.ravel(), bounds)[::2]
         i = j
     out = np.empty(n.size)
     out[order] = sums
     return out
 
 
-def _one_side(f: JumpFunction, theta0, n: np.ndarray, k0: np.ndarray):
-    """The one-side sum at off-node rows (n, k0) of a step (f.step_limits set).
+def _one_side(f: JumpFunction, n, k0, gap, gap_before, angle: float, supplement: float):
+    """The one-side sum at off-node rows of a step (f.step_limits set).
 
-    Returns (served, values): which rows the sum serves, and their values in
-    row order.  A row is served when f's domain holds [-1, 1], nodes k0 and
+    The rows are orders n with node index k0 and gaps D = gap and
+    D' = gap_before at the angle (supplement = pi - angle).  Returns
+    (served, values): which rows the sum serves, and their values in row
+    order.  A row is served when f's domain holds [-1, 1] and nodes k0 and
     k0 + 1 enclose both x0 and the stored location with more than
-    2*NODE_ATOL to spare, and the half-angles are exact (4nq <= 2**53) or
-    one limit is 0.  Nodes 1..k0 (theta_k < theta0) then sample the right
-    limit and the others the left one, so the value is the other side's
-    limit plus the difference of the limits times the weights summed over
-    one index range, or that limit alone when the range is empty.  With
-    exact half-angles the range is the shorter one.  Float half-angles make
-    the weights sum to 1 only to rounding, so there the range is the nonzero
-    limit's, and the value does not use sum = 1.
+    2*NODE_ATOL to spare.  Nodes 1..k0 (theta_k < theta0) then sample the
+    right limit and the others the left one, and the weights sum to 1 to
+    rounding, so the value is the other side's limit plus the difference of
+    the limits times the weights summed over the shorter side, or that limit
+    alone when the shorter side is empty.
     """
     left, right = f.step_limits
     # a domain holding [-1, 1] holds every node, so eval_many would not raise
     if not (f.domain[0] <= -1.0 and 1.0 <= f.domain[1]):
         return np.zeros(n.size, dtype=bool), np.empty(0)
-    if isinstance(theta0, Fraction):
-        angle = math.pi * theta0.numerator / theta0.denominator
-        exact = n <= _EXACT_DOUBLE_INT // (4 * theta0.denominator)
-    else:
-        angle = theta0
-        exact = np.zeros(n.size, dtype=bool)
-    # float half-angles and cos(n*theta0) are rounded apart, so float weights
-    # sum to 1 only to about 1e-13 (1e-9 beside a node): there the one-side
-    # sum is taken only with one limit 0, whose side it leaves out, so the
-    # value never rests on sum = 1
-    served = (exact | (0.0 in (left, right))) & _brackets(
-        n, k0, math.cos(angle), f.jumps[0].x_float
-    )
-    n, k0, exact = n[served], k0[served], exact[served]
-    # nodes 1..k0 sample the right limit, nodes k0+1..n the left one; the
-    # sum runs over the shorter side, on a float angle the nonzero limit's
-    right_side = np.where(exact, 2 * k0 <= n, left == 0.0)
-    lo = np.where(right_side, 1, k0 + 1)
+    served = _brackets(n, k0, math.cos(angle), f.jumps[0].x_float)
+    n, k0, gap, gap_before = n[served], k0[served], gap[served], gap_before[served]
+    right_side = 2 * k0 <= n
     count = np.where(right_side, k0, n - k0)
     summed = np.where(right_side, right, left)
     values = np.where(right_side, left, right)
     terms = np.flatnonzero(count > 0)
-    n, lo, count, exact = n[terms], lo[terms], count[terms], exact[terms]
-    weight_sums = np.empty(terms.size)
-    for rows, exact_rows in ((exact, True), (~exact, False)):
-        if rows.any():
-            weight_sums[rows] = _side_sums(
-                theta0 if exact_rows else angle, exact_rows, n[rows], lo[rows], count[rows]
-            )
-    weight_sums *= _cos_n_thetas(theta0, n.tolist()) / (2 * n)
+    n, gap, gap_before, right_side = n[terms], gap[terms], gap_before[terms], right_side[terms]
+    weight_sums = _side_sums(
+        n,
+        np.where(right_side, gap_before, gap),
+        np.where(right_side, angle, supplement),
+        count[terms],
+    )
+    # on either side, ell_k = sin(n min(D, D'))/(2n) times the j-th term of
+    # _side_sums: (-1)^(k-1) cos(n theta0) = (-1)^(k0+k-1) sin(n min(D, D'))
+    weight_sums *= np.sin(n * np.minimum(gap, gap_before)) / (2 * n)
     values[terms] += (summed[terms] - values[terms]) * weight_sums
     return served, values
 
 
-def _general_sum(grid: ChebyshevGrid, f: JumpFunction, theta0) -> float:
-    """The full weight vector against f at every node, off a node."""
-    n = grid.n
-    cn = _cos_n_theta(theta0, n)
-    if isinstance(theta0, Fraction):
-        p, q = theta0.numerator, theta0.denominator
-        x0 = math.cos(math.pi * p / q)
-        half_angles = _rational_half_angles(p, q, n)
-    else:
-        x0 = math.cos(theta0)
-        half_angles = None
-    weights = fundamental_weights(grid, x0, cos_n_theta=cn, half_angles=half_angles)
-    return float(weights @ f.eval_many(grid.nodes))
+def _general_sum(grid: ChebyshevGrid, f: JumpFunction, k0, gap, gap_before, angle, supplement):
+    """The full weight vector against f at every node, off a node; a node
+    within NODE_ATOL of cos(angle) gets the cardinal weights, as in
+    fundamental_weights."""
+    values = f.eval_many(grid.nodes)
+    j = _coincident_node(grid, math.cos(angle), angle)
+    if j is not None:
+        return float(values[j])
+    weights, scale = _weights(grid.n, k0, gap, gap_before, angle, supplement)
+    return scale * float(weights @ values)
 
 
 def lagrange_at_jump(
@@ -381,12 +371,11 @@ def lagrange_at_jump(
     theta0 (Fraction p/q for pi*p/q, float angle, or None to derive it from
     the stored location) drives the exact node-coincidence decision: when
     the location is a node of this grid the interpolant reproduces the
-    declared point value.  Otherwise the kernel gives the weights, on the
-    rational path from exactly reduced cos(n*theta0) and exact-integer
-    half-angles, and they are summed one of two ways:
+    declared point value.  Otherwise the kernel gives the weights from the
+    jump's two node gaps, and they are summed one of two ways:
 
-      * one side, where f.step_limits is set and _one_side serves the
-        order: a one-row call into the batched sum of step_sweep;
+      * one side, where f.step_limits is set: a one-order step_sweep, which
+        takes the shorter side's sum where _one_side serves the order;
       * general, for everything else: the full weight vector against f at
         every node.
 
@@ -397,15 +386,12 @@ def lagrange_at_jump(
     jump = f.jumps[jump_index]
     if theta0 is None:
         theta0 = math.acos(jump.x_float)
-    ratio = theta0 if isinstance(theta0, Fraction) else theta0 / math.pi
-    k0, _, _, is_node = node_offsets(ratio, grid.n, 0.5)
+    if f.step_limits is not None:
+        return float(step_sweep(f, theta0, [grid.n])[0])
+    is_node, k0, gap, gap_before, angle, supplement = _location(theta0, grid.n)
     if is_node:
         return jump.value
-    if f.step_limits is not None:
-        served, values = _one_side(f, theta0, np.array([grid.n]), np.array([int(k0)]))
-        if served[0]:
-            return float(values[0])
-    return _general_sum(grid, f, theta0)
+    return _general_sum(grid, f, k0, gap, gap_before, angle, supplement)
 
 
 def step_sweep(f: JumpFunction, theta0, n_values) -> np.ndarray:
@@ -413,25 +399,29 @@ def step_sweep(f: JumpFunction, theta0, n_values) -> np.ndarray:
 
     theta0 is the jump's angle, a Fraction p/q for pi*p/q or a float; n_values
     holds the grid orders n >= 1, a range or any other sequence of ints.  The
-    result has one value per order, in the same order, each the value
-    lagrange_at_jump gives at that order: the point value at a node, the
-    one-side sum, batched over _ROWS off-node orders at a time, where
-    _one_side serves the order, and the general sum, one order at a time, at
-    the rest.
+    result has one value per order, in the same order: the point value at a
+    node, the one-side sum over the shorter side, batched over _ROWS
+    off-node orders at a time, where _one_side serves the order, and the
+    general sum, one order at a time, at the rest.  lagrange_at_jump gives
+    the same value at each order.
     """
     if f.step_limits is None:
         raise ValueError("step_sweep requires exactly one jump on a constant continuous part")
     n = n_array(n_values)
     if n.size and n.min() < 1:
         raise ValueError("grid order must be >= 1")
-    ratio = theta0 if isinstance(theta0, Fraction) else theta0 / math.pi
-    k0, _, _, is_node = node_offsets(ratio, n, 0.5)
+    is_node, k0, gap, gap_before, angle, supplement = _location(theta0, n)
     out = np.full(n.size, f.jumps[0].value)
     live = np.flatnonzero(~is_node)
     for start in range(0, live.size, _ROWS):
         rows = live[start:start + _ROWS]
-        served, values = _one_side(f, theta0, n[rows], k0[rows].astype(np.int64))
+        served, values = _one_side(
+            f, n[rows], k0[rows], gap[rows], gap_before[rows], angle, supplement
+        )
         out[rows[served]] = values
         for row in rows[~served].tolist():
-            out[row] = _general_sum(ChebyshevGrid(int(n[row])), f, theta0)
+            out[row] = _general_sum(
+                ChebyshevGrid(int(n[row])), f, int(k0[row]), gap[row], gap_before[row],
+                angle, supplement,
+            )
     return out

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 from jumpspectra.lagrange import (
     ChebyshevGrid,
     _brackets,
-    _cos_n_theta,
+    _coincident_node,
+    _location,
     _one_side,
-    _rational_half_angles,
+    _weights,
     fundamental_eval,
     fundamental_product_reference,
     fundamental_weights,
@@ -108,7 +109,16 @@ class TestFundamental:
         grid = ChebyshevGrid(n)
         xs = np.linspace(-1.0, 1.0, 1000)
         worst = max(abs(np.sum(fundamental_weights(grid, x)) - 1.0) for x in xs)
-        assert worst < 1e-10
+        assert worst < 4 * np.finfo(float).eps * math.log(n)
+        # lagrange_at_jump's general weights at exact angles: near theta0/pi
+        # = 1, where a_k nears pi, and near 0
+        for ratio in (Fraction(229539, 229559), Fraction(999, 1000), Fraction(1, 1000),
+                      Fraction(n - 1, n + 1), Fraction(1, 3)):
+            for order in (n - 1, n, 300, 3000):
+                grid = ChebyshevGrid(order)
+                if not node_offsets(ratio, order, 0.5)[3]:
+                    total = _general_weights(grid, ratio).sum()
+                    assert abs(total - 1.0) < 4 * np.finfo(float).eps * math.log(order)
 
 
 class TestInterpolation:
@@ -261,16 +271,6 @@ class TestAtJump:
         else:
             assert lagrange_at_jump(grid, h, 0, angle) == pytest.approx(exact, abs=1e-10)
 
-    def test_huge_denominator_falls_back_to_float_half_angles(self):
-        # 4nq exceeds 2**53, so the half-angle numerators are not exact doubles
-        ratio = Fraction(3**39 + 1, 3**40)
-        angle = math.pi * ratio.numerator / ratio.denominator
-        h = pure_step(math.cos(angle), 0.3, "left0_right1", (-1.0, 1.0))
-        grid = ChebyshevGrid(64)
-        assert lagrange_at_jump(grid, h, 0, ratio) == pytest.approx(
-            lagrange_at_jump(grid, h, 0, angle), abs=1e-12
-        )
-
     def test_float_angle_path(self):
         h = pure_step(math.cos(1.0), 0.3, "left0_right1", (-1.0, 1.0))
         value = lagrange_at_jump(ChebyshevGrid(64), h, 0, 1.0)
@@ -278,38 +278,21 @@ class TestAtJump:
 
 
 def _general_weights(grid, theta0):
-    """Every node's weight, from the angles lagrange_at_jump uses."""
-    n = grid.n
-    cn = _cos_n_theta(theta0, n)
-    half_angles = None
-    if isinstance(theta0, Fraction):
-        p, q = theta0.numerator, theta0.denominator
-        half_angles = _rational_half_angles(p, q, n)
-        theta0 = math.pi * p / q
-    x0 = math.cos(theta0)
-    if half_angles is None:
-        half_angles = ((grid.thetas + theta0) / 2, (grid.thetas - theta0) / 2)
-    return fundamental_weights(grid, x0, cn, half_angles)
+    """Every node's weight, from the gaps lagrange_at_jump uses."""
+    _, k0, gap, gap_before, angle, supplement = _location(theta0, grid.n)
+    weights, scale = _weights(grid.n, k0, gap, gap_before, angle, supplement)
+    return weights * scale
 
 
 def _general_sum(grid, f, theta0):
-    """Weights against f at every node, from the angles lagrange_at_jump uses."""
-    return float(_general_weights(grid, theta0) @ f.eval_many(grid.nodes))
-
-
-def _general_path(grid, f, theta0):
-    """The general path of lagrange_at_jump: like _general_sum, but where the
-    half-angles are not exact (a float angle, or 4nq > 2**53)
-    fundamental_weights forms them from acos(x0)."""
-    if isinstance(theta0, Fraction):
-        p, q = theta0.numerator, theta0.denominator
-        if _rational_half_angles(p, q, grid.n) is not None:
-            return _general_sum(grid, f, theta0)
-        x0 = math.cos(math.pi * p / q)
-    else:
-        x0 = math.cos(theta0)
-    cn = _cos_n_theta(theta0, grid.n)
-    return float(fundamental_weights(grid, x0, cn) @ f.eval_many(grid.nodes))
+    """The general path of lagrange_at_jump off a node: the weights against
+    f at every node, or f at a node within NODE_ATOL of x0."""
+    _, k0, gap, gap_before, angle, supplement = _location(theta0, grid.n)
+    values = f.eval_many(grid.nodes)
+    if _coincident_node(grid, math.cos(angle), angle) is not None:
+        return float(fundamental_weights(grid, math.cos(angle)) @ values)
+    weights, scale = _weights(grid.n, k0, gap, gap_before, angle, supplement)
+    return scale * float(weights @ values)
 
 
 def _at_jump(grid, f, theta0, jump_index=0):
@@ -348,17 +331,11 @@ class TestOneSideSum:
         value, evaluated_f = _at_jump(grid, f, theta0)
         if node_offsets(Fraction(p, q), n, 0.5)[3]:
             assert value == d
-        elif float_angle and 0.0 not in limits:
-            # float weights sum to 1 only to rounding, which the one-side sum
-            # would carry into the value: the general path answers
-            assert evaluated_f
-            assert value == _general_path(grid, f, theta0)
         else:
-            # with q <= 60 and n <= 3000 no node is within 1e-7 of x0.  The
-            # rounding of cos(n*theta0), up to about 2e-14 relative here,
-            # scales the one-side sum and the general sum differently
+            # with q <= 60 and n <= 3000 no node is within 1e-7 of x0, so
+            # every order passes the gate, on an exact and a float angle
             assert not evaluated_f
-            assert value == pytest.approx(_general_sum(grid, f, theta0), abs=1e-12)
+            assert value == pytest.approx(_general_sum(grid, f, theta0), abs=1e-14)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -398,7 +375,7 @@ class TestOneSideSum:
             theta0 = math.pi * ratio.numerator / ratio.denominator if float_angle else ratio
             f = _step(math.cos(math.pi * ratio.numerator / ratio.denominator), limits, 0.3)
             value, evaluated_f = _at_jump(grid, f, theta0)
-            assert evaluated_f == (float_angle and 0.0 not in limits)
+            assert not evaluated_f
             assert value == pytest.approx(limit, abs=1e-14)
             assert value == pytest.approx(_general_sum(grid, f, theta0), abs=1e-14)
 
@@ -414,7 +391,7 @@ class TestOneSideSum:
         assert f.jumps[0].x_float > grid.nodes[k - 1] > math.cos(theta0)
         value, evaluated_f = _at_jump(grid, f, theta0)
         assert evaluated_f
-        assert value == _general_path(grid, f, theta0)
+        assert value == _general_sum(grid, f, theta0)
 
     @pytest.mark.parametrize(
         "base, declared, theta0",
@@ -423,7 +400,7 @@ class TestOneSideSum:
             # 5e-7 off, within validation's 1e-9 relative
             (1000.0, (1000.0000005, 1001.0), Fraction(2, 7)),
             # base 0 on a float angle: the declared left limit is 5e-10, but
-            # the nodes left of the jump give 0, so the zero-limit rule holds
+            # the nodes left of the jump give 0
             (0.0, (5e-10, 1.0), 2 * math.pi / 7),
         ],
     )
@@ -457,9 +434,13 @@ class TestOneSideSum:
 @st.composite
 def _sweep_cases(draw):
     """(f, theta0, n_values) for step_sweep: a step at an exact angle pi*p/q
-    (q up to 10^6, or past 2**51 so that 4nq > 2**53), at a float angle, or
-    at a float angle just past a node whose jump sits just before it."""
-    kind = draw(st.sampled_from(["small q", "large q", "huge q", "float", "beside a node"]))
+    (q up to 10^6, or past 2**51 so that 4nq > 2**53), at a float angle, at
+    a float angle just past a node whose jump sits just before it, or at a
+    float angle where t_n = n*theta0/pi + 1/2 sits 1 to 4 times node_offsets'
+    float tolerance 4*eps*t_n from an integer."""
+    kind = draw(st.sampled_from(
+        ["small q", "large q", "huge q", "float", "beside a node", "float rule edge"]
+    ))
     limits = draw(st.sampled_from([(0.0, 1.0), (1.0, 0.0), (-0.75, 2.5), (3.0, 0.5), (0.0, -2.0)]))
     d = draw(st.floats(min_value=-2.0, max_value=2.0))
     if draw(st.booleans()):
@@ -474,6 +455,15 @@ def _sweep_cases(draw):
         delta = draw(st.floats(min_value=1e-12, max_value=1e-9))
         theta_k = (2 * k - 1) * math.pi / (2 * n0)
         theta0, x = theta_k + delta, math.cos(theta_k - delta)
+        n_values = list(n_values) + [n0]
+    elif kind == "float rule edge":
+        # past t = 1126, 4*eps*t is above OFFSET_TOL and sets the rule
+        n0 = draw(st.integers(1200, 3000))
+        k = draw(st.integers(1130, n0))
+        side = draw(st.sampled_from([-1.0, 1.0]))
+        t = k + side * draw(st.floats(min_value=1.0, max_value=4.0)) * 4 * np.finfo(float).eps * k
+        theta0 = math.pi * ((t - 0.5) / n0)
+        x = math.cos(theta0)
         n_values = list(n_values) + [n0]
     elif kind == "float":
         theta0 = math.pi * draw(st.floats(min_value=0.01, max_value=0.99))
@@ -510,10 +500,15 @@ class TestStepSweep:
         values = step_sweep(f, theta0, n_values)
         assert values.shape == (len(n_values),)
         ns = np.asarray(list(n_values))
-        ratio = theta0 if isinstance(theta0, Fraction) else theta0 / math.pi
-        k0, _, _, is_node = node_offsets(ratio, ns, 0.5)
+        is_node, k0, gap, gap_before, angle, supplement = _location(theta0, ns)
+        # every off-node row lies strictly between two node angles
+        assert np.all(gap[~is_node] > 0) and np.all(gap_before[~is_node] > 0)
+        assert np.all(np.isfinite(values))
+        off = ~is_node
         served = np.zeros(ns.size, dtype=bool)
-        served[~is_node] = _one_side(f, theta0, ns[~is_node], k0[~is_node].astype(np.int64))[0]
+        served[off] = _one_side(
+            f, ns[off], k0[off], gap[off], gap_before[off], angle, supplement
+        )[0]
         left, right = f.step_limits
         for n, value, node, one_side in zip(ns.tolist(), values, is_node, served):
             grid = ChebyshevGrid(n)
@@ -524,15 +519,13 @@ class TestStepSweep:
                 # the general sum is other * sum(w) + (summed - other) * the
                 # summed side's weights, and the one-side sum puts 1 for
                 # sum(w): they differ by the limit not summed times
-                # sum(w) - 1, which rounding makes up to about 1e-12 here
-                # (the rounding of cos(n*theta0) over |cos(n*theta0)|, or of
-                # a half-angle near pi), plus the rounding of the summed side
+                # sum(w) - 1, a few eps, plus the rounding of the summed side
                 weights = _general_weights(grid, theta0)
                 tol = (1e-14 + 2 * max(abs(left), abs(right)) * abs(weights.sum() - 1.0)
                        + 16 * np.finfo(float).eps * abs(right - left) * np.abs(weights).sum())
                 assert value == pytest.approx(_general_sum(grid, f, theta0), abs=tol)
             else:
-                assert value == _general_path(grid, f, theta0)
+                assert value == _general_sum(grid, f, theta0)
 
     def test_takes_the_general_path_only_where_the_bracket_fails(self):
         # the jump of a descriptor sits 3e-10 (in angle) before node k = 13
@@ -546,18 +539,21 @@ class TestStepSweep:
         ) as spy:
             values = step_sweep(f, theta0, range(38, 43))
         assert [call.args[1].size for call in spy.call_args_list] == [n]
-        assert values[2] == _general_path(ChebyshevGrid(n), f, theta0)
+        assert values[2] == _general_sum(ChebyshevGrid(n), f, theta0)
 
-    def test_exact_half_angles_end_at_2_53(self):
-        # 4nq <= 2**53 up to n = 127 here; with both limits nonzero, n = 128
-        # takes the general path
+    def test_large_denominators_take_the_one_side_sum(self):
+        # 4nq passes 2**53 at n = 128; the gaps come from node_offsets'
+        # integers num and den - num, both below 2q, so no order needs f at
+        # the nodes
         ratio = Fraction(5864062014805, 2**44 + 1)
         f = _step(math.cos(math.pi * ratio.numerator / ratio.denominator), (-0.75, 2.5), 0.3)
         with mock.patch.object(
             JumpFunction, "eval_many", autospec=True, side_effect=JumpFunction.eval_many
         ) as spy:
-            step_sweep(f, ratio, [127, 128])
-        assert [call.args[1].size for call in spy.call_args_list] == [128]
+            values = step_sweep(f, ratio, [127, 128])
+        assert not spy.called
+        for n, value in zip((127, 128), values):
+            assert value == pytest.approx(_general_sum(ChebyshevGrid(n), f, ratio), abs=1e-14)
 
     def test_gate_keeps_two_node_tolerances_from_a_node(self):
         n, k = 40, 13
@@ -579,21 +575,52 @@ class TestStepSweep:
         (Fraction(1, 3), [100, 1000, 2999]),
         (Fraction(2, 3), [101, 1500, 3000]),
         (Fraction(7, 19), [17, 777, 2500]),
+        # near theta0/pi = 0 and 1, where a_k nears 0 or pi
+        (Fraction(1, 1000), [3000]),
+        (Fraction(999, 1000), [3000]),
+        (Fraction(229539, 229559), [300]),
+        # theta0 within 1e-7 of node k = 200 of n = 777, exact and float
+        (Fraction(399, 1554) + Fraction(1, 10**8), [777]),
+        (399 / 1554 + 1e-8, [777]),
+        # float angles as a declared-irrational location passes them
+        (math.sqrt(3) - 1, [1741]),
+        (math.sqrt(2) / 2, [1562]),
+        ((math.sqrt(5) - 1) / 2, [305]),
     ])
     def test_error_against_a_40_digit_sum(self, ratio, ns):
         mpmath = pytest.importorskip("mpmath")
-        p, q = ratio.numerator, ratio.denominator
-        f = _step(math.cos(math.pi * p / q), (0.0, 1.0), 0.3)
-        values = step_sweep(f, ratio, ns)
-        with mpmath.workdps(40):
-            theta0 = mpmath.pi * p / q
-            for n, value in zip(ns, values):
-                k0 = int(node_offsets(ratio, n, 0.5)[0])
-                scale = mpmath.cos(n * theta0) / (2 * n)
-                exact = sum(
-                    scale * (-1) ** (k - 1)
-                    * (mpmath.cot(((2 * k - 1) * mpmath.pi / (2 * n) + theta0) / 2)
-                       + mpmath.cot(((2 * k - 1) * mpmath.pi / (2 * n) - theta0) / 2))
-                    for k in range(1, k0 + 1)
+        theta0 = ratio if isinstance(ratio, Fraction) else math.pi * ratio
+        f = _step(math.cos(_location(theta0, 1)[4]), (0.0, 1.0), 0.3)
+        for n, value in zip(ns, step_sweep(f, theta0, ns)):
+            assert abs(value - _exact_sum(mpmath, theta0, ChebyshevGrid(n), f)) < 1e-15
+
+    def test_general_path_error_against_a_40_digit_sum(self):
+        # near theta0/pi = 1, where a_k nears pi
+        mpmath = pytest.importorskip("mpmath")
+        ratio = Fraction(229539, 229559)
+        f, i = _two_jump_at(ratio)
+        grid = ChebyshevGrid(300)
+        value, evaluated_f = _at_jump(grid, f, ratio, i)
+        assert evaluated_f
+        assert abs(value - _exact_sum(mpmath, ratio, grid, f)) < 1e-15
+
+
+def _exact_sum(mpmath, theta0, grid, f):
+    """sum_k ell_{n,k}(cos theta0) f(x_{n,k}) to 40 digits, with the
+    double node values f takes: at the exact angle of a Fraction theta0, and
+    at the double theta0 itself for a float."""
+    n = grid.n
+    with mpmath.workdps(40):
+        if isinstance(theta0, Fraction):
+            theta0 = mpmath.pi * theta0.numerator / theta0.denominator
+        else:
+            theta0 = mpmath.mpf(theta0)
+        scale = mpmath.cos(n * theta0) / (2 * n)
+        total = 0
+        for k, fk in enumerate(f.eval_many(grid.nodes).tolist(), start=1):
+            if fk:
+                theta_k = (2 * k - 1) * mpmath.pi / (2 * n)
+                total += fk * scale * (-1) ** (k - 1) * (
+                    mpmath.cot((theta_k + theta0) / 2) + mpmath.cot((theta_k - theta0) / 2)
                 )
-                assert abs(value - float(exact)) < 1e-15
+        return float(total)
