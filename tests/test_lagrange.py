@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from jumpspectra.lagrange import (
     ChebyshevGrid,
     _brackets,
-    _coincident_node,
+    _general_sum as _library_general_sum,
     _location,
     _one_side,
     _weights,
@@ -287,12 +287,7 @@ def _general_weights(grid, theta0):
 def _general_sum(grid, f, theta0):
     """The general path of lagrange_at_jump off a node: the weights against
     f at every node, or f at a node within NODE_ATOL of x0."""
-    _, k0, gap, gap_before, angle, supplement = _location(theta0, grid.n)
-    values = f.eval_many(grid.nodes)
-    if _coincident_node(grid, math.cos(angle), angle) is not None:
-        return float(fundamental_weights(grid, math.cos(angle)) @ values)
-    weights, scale = _weights(grid.n, k0, gap, gap_before, angle, supplement)
-    return scale * float(weights @ values)
+    return _library_general_sum(grid, f, *_location(theta0, grid.n)[1:])
 
 
 def _at_jump(grid, f, theta0, jump_index=0):
