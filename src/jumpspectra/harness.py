@@ -90,9 +90,9 @@ class ExperimentConfig:
     d: float = 0.3
     n_max: int = 1000
     stride: int = 1
-    eps_grid: tuple | None = None
-    gap: float | None = None
-    tail_fraction: float | None = None
+    eps_grid: tuple = DEFAULT_EPS_GRID
+    gap: float = DEFAULT_GAP
+    tail_fraction: float = DEFAULT_TAIL_FRACTION
     value_tol: float | None = None
     index_tol: float = DEFAULT_INDEX_TOL
     ks_tol: float = DEFAULT_KS_TOL
@@ -108,17 +108,10 @@ class ExperimentConfig:
             raise ConfigError(
                 "location: must be a Fraction or an Irrational marker"
             )
-        if isinstance(self.location, Fraction):
-            # boundary abscissae make the jump non-interior; experiments
-            # require a genuine interior discontinuity
-            if not 0 < self.location < 1:
-                raise ConfigError("location: must satisfy 0 < p/q < 1")
-        else:
-            approx = self.location.approx
-            if self.operator == LAGRANGE and not 0.0 < approx < 1.0:
-                raise ConfigError("location: angle ratio approx must lie in (0, 1)")
-            if self.operator == SHEPARD and not 0.0 < approx < 1.0:
-                raise ConfigError("location: abscissa approx must lie in (0, 1)")
+        # boundary locations make the jump non-interior; experiments
+        # require a genuine interior discontinuity
+        if not 0 < self.location_ratio() < 1:
+            raise ConfigError("location: the ratio (theta0/pi or x0) must lie in (0, 1)")
         if self.operator == SHEPARD and not SHEPARD_S_MIN <= self.s <= SHEPARD_S_MAX:
             raise ConfigError(
                 f"s: exponent must lie in [{SHEPARD_S_MIN:g}, {SHEPARD_S_MAX:g}]"
@@ -127,15 +120,14 @@ class ExperimentConfig:
             raise ConfigError("n_max: must be >= 64")
         if self.stride < 1:
             raise ConfigError("stride: must be >= 1")
-        if self.gap is not None and not self.gap > 0:
+        if not self.gap > 0:
             raise ConfigError("gap: must be positive")
-        if self.tail_fraction is not None and not 0 < self.tail_fraction <= 1:
+        if not 0 < self.tail_fraction <= 1:
             raise ConfigError("tail_fraction: must be in (0, 1]")
-        if self.eps_grid is not None:
-            try:
-                _validate_grid(self.eps_grid)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"eps_grid: {exc}") from exc
+        try:
+            _validate_grid(self.eps_grid)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"eps_grid: {exc}") from exc
         if self.fn is not None:
             lo, hi = (-1.0, 1.0) if self.operator == LAGRANGE else (0.0, 1.0)
             if not (self.fn.domain[0] <= lo and hi <= self.fn.domain[1]):
@@ -195,12 +187,8 @@ class ExperimentConfig:
             "stride": self.stride,
             "jump_index": jump_index,
             "fn": piecewise.to_descriptor_dict(fn),
-            "gap": self.gap if self.gap is not None else DEFAULT_GAP,
-            "tail_fraction": (
-                self.tail_fraction
-                if self.tail_fraction is not None
-                else DEFAULT_TAIL_FRACTION
-            ),
+            "gap": self.gap,
+            "tail_fraction": self.tail_fraction,
             "value_tol": self.resolved_value_tol(),
             "index_tol": self.index_tol,
             "ks_tol": self.ks_tol,
@@ -230,13 +218,10 @@ def run_sequence(cfg: ExperimentConfig) -> SequencePrefix:
                 ]
             )
         return SequencePrefix(values)
-    theta0 = cfg.location_ratio()
-    angle = theta0 if isinstance(theta0, Fraction) else math.pi * theta0
+    ratio = cfg.location_ratio()
     if f.step_limits is not None:
-        return SequencePrefix(lagrange_step_sweep(f, angle, ns))
-    values = np.array(
-        [lagrange_at_jump(ChebyshevGrid(n), f, i, theta0=angle) for n in ns]
-    )
+        return SequencePrefix(lagrange_step_sweep(f, ratio, ns))
+    values = np.array([lagrange_at_jump(ChebyshevGrid(n), f, i, ratio) for n in ns])
     return SequencePrefix(values)
 
 
@@ -356,17 +341,12 @@ def compare(cfg: ExperimentConfig) -> ComparisonReport:
     """Run the sequence, detect clusters, and grade against the prediction."""
     prefix = run_sequence(cfg)
     spectrum = predict(cfg)
-    gap = cfg.gap if cfg.gap is not None else DEFAULT_GAP
-    tail_fraction = (
-        cfg.tail_fraction if cfg.tail_fraction is not None else DEFAULT_TAIL_FRACTION
-    )
-    eps_grid = cfg.eps_grid if cfg.eps_grid is not None else DEFAULT_EPS_GRID
     report = detect_clusters(
         prefix,
-        gap=gap,
-        tail_fraction=tail_fraction,
+        gap=cfg.gap,
+        tail_fraction=cfg.tail_fraction,
         index_floor=cfg.index_floor,
-        eps_grid=eps_grid,
+        eps_grid=cfg.eps_grid,
     )
     value_tol = cfg.resolved_value_tol()
     tolerances = {
@@ -377,7 +357,7 @@ def compare(cfg: ExperimentConfig) -> ComparisonReport:
     }
     if spectrum.continuous is not None:
         cont = spectrum.continuous
-        t = (tail_values(prefix.values, tail_fraction) - cont.alpha) / cont.beta
+        t = (tail_values(prefix.values, cfg.tail_fraction) - cont.alpha) / cont.beta
         u = cont.profile.invert_many(t)
         ks = ks_uniform_distance(u)
         return ComparisonReport(
@@ -420,14 +400,8 @@ def compare(cfg: ExperimentConfig) -> ComparisonReport:
 def _run_columns(cfg: ExperimentConfig, prefix: SequencePrefix) -> dict[str, list]:
     """The run's columns by name: n, the node offset, is_node and value."""
     ns = n_array(cfg.ns())
-    ratio, shift = cfg.location_ratio(), 0
-    if cfg.operator == LAGRANGE:
-        shift = 0.5
-        if not isinstance(ratio, Fraction):
-            # the ratio lagrange_at_jump derives from the angle run_sequence
-            # passes it, so each row's node decision is the one behind its value
-            ratio = math.pi * ratio / math.pi
-    _, num, den, is_node = node_offsets(ratio, ns, shift)
+    ratio = cfg.location_ratio()
+    _, num, den, is_node = node_offsets(ratio, ns, 0.5 if cfg.operator == LAGRANGE else 0)
     if isinstance(ratio, Fraction):
         g = np.gcd(num, den)
         sigma = {"sigma_num": num // g, "sigma_den": den // g}

@@ -29,13 +29,17 @@ it a_k nears pi, and cot a_k = cot(b_k - (pi - theta)).  The full weight
 vector forms every b_k from the nearer of the two nodes, j, as
 (k - j) h + (theta_j - theta)/2, whose second term is at most h/2.  So no
 step loses more than half of its larger term, and a weight is as accurate
-as the gaps, however close theta sits to a node, to 0 or to pi.  On an
-exact angle theta = pi p/q the gaps come from node_offsets' integers,
-D' = pi num/(n den) and D = pi (den - num)/(n den); on a float angle from
-the residuals (2k0+1) pi - 2n theta and 2n theta - (2k0-1) pi in
-double-double arithmetic.  fundamental_weights, lagrange_eval,
-lagrange_at_jump and step_sweep all evaluate that one kernel.  The O(n^2)
-product form is retained only as a test oracle.
+as the gaps, however close theta sits to a node, to 0 or to pi.  The gaps
+come from node_offsets' decision (k0, sigma_n) on the ratio r = theta/pi,
+the one location unit of every entry point: on an exact ratio p/q from its
+integers, D' = pi num/(n den) and D = pi (den - num)/(n den); on a float
+ratio from t + e = n r, the exact product in two doubles, as
+D' = pi/n ((t - (k0 - 1/2)) + e) and D = pi/n (((k0 + 1/2) - t) - e),
+whose leading differences are exact or at least 1/4, so both gaps are
+accurate to a few roundings however small.  The angle is then pi r and
+its supplement pi (1 - r).  fundamental_weights (at r = acos(x)/pi),
+lagrange_eval, lagrange_at_jump and step_sweep all evaluate that one
+kernel.  The O(n^2) product form is retained only as a test oracle.
 
 At a pure step (one jump on a constant base, JumpFunction.step_limits) the
 nodes on each side of the jump all sample one limit, and sum_k ell_{n,k} = 1
@@ -59,7 +63,9 @@ The node offset of a jump location x0 = cos(theta0) is
 sigma_n = frac(n*theta0/pi + 1/2), the fractional position of theta0 inside
 the n-th node grid; piecewise.node_offsets computes it (shift 1/2), in
 integer arithmetic when theta0/pi is the exact rational p/q, because the
-node-coincidence dichotomy (sigma_n = 0) is arithmetic, not numeric.
+node-coincidence dichotomy (sigma_n = 0) is arithmetic, not numeric.  Every
+location argument is that ratio theta0/pi, a Fraction or a float, never
+the angle itself.
 
 Everything is pure; grids are immutable and evaluation across n is safe to
 parallelize.
@@ -75,8 +81,6 @@ import numpy as np
 
 from .piecewise import NODE_ATOL, JumpFunction, n_array, node_offsets
 
-# pi = math.pi + _PI_LO to about 1e-32
-_PI_LO = 1.2246467991473532e-16
 # step_sweep's one-side sum: terms per block, whose two buffers take
 # 256 KB, and orders per call, which keeps the per-order arrays near 100 KB.
 # With both, the benchmark's lagrange_sweep peak RSS reads about 0.5 MB
@@ -134,44 +138,44 @@ def _two_product(a, b):
     return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
 
 
-def _float_gaps(theta, n, k0):
-    """(D, D') of the float angle theta at the orders n with node index k0.
+def _float_gaps(ratio, n, k0):
+    """(D, D', angle, supplement) at the angle pi*ratio of the float ratio,
+    in the grids of the orders n with node index k0.
 
-    2n D = (2k0+1) pi - 2n theta and -2n D' = (2k0-1) pi - 2n theta, each
-    from exact products and pi = math.pi + _PI_LO; the leading difference
-    is exact or at least half the residual, so both are accurate to a few
-    roundings however small.
+    With t + e = n*ratio exactly, n D/pi = (k0 + 1/2) - t - e and
+    n D'/pi = t - (k0 - 1/2) + e; t lies within 1/2 of k0, so each leading
+    difference is exact or at least 1/4, and both gaps are accurate to a
+    few roundings however small.
     """
-    twice_n = 2.0 * n
-    t, t_err = _two_product(twice_n, theta)
-    gaps = []
-    for m in (2 * k0 + 1.0, 2 * k0 - 1.0):
-        s, s_err = _two_product(m, math.pi)
-        gaps.append(((s - t) + ((s_err - t_err) + m * _PI_LO)) / twice_n)
-    return gaps[0], -gaps[1]
+    t, t_err = _two_product(n, ratio)
+    scale = math.pi / n
+    return (
+        (((k0 + 0.5) - t) - t_err) * scale,
+        ((t - (k0 - 0.5)) + t_err) * scale,
+        math.pi * ratio,
+        math.pi * (1.0 - ratio),
+    )
 
 
-def _location(theta0, n):
-    """(is_node, k0, D, D', angle, supplement) of the angle theta0 in the
-    grids of the orders n.
+def _location(ratio, n):
+    """(is_node, k0, D, D', angle, supplement) of the location ratio
+    theta0/pi in the grids of the orders n.
 
-    theta0 is a Fraction p/q for pi*p/q or a float angle; n an int or an
-    integer array.  is_node and k0 are node_offsets' (shift 1/2); D and D'
-    are the gaps theta_{k0+1} - theta0 and theta0 - theta_{k0}, positive
-    at every off-node row; angle is theta0 as a double and supplement
-    pi - theta0.
+    ratio is a Fraction p/q or a float; n an int or an integer array.
+    is_node and k0 are node_offsets' (shift 1/2); D and D' are the gaps
+    theta_{k0+1} - theta0 and theta0 - theta_{k0}, positive at every
+    off-node row; angle is theta0 as a double and supplement pi - theta0.
     """
-    if isinstance(theta0, Fraction):
-        p, q = theta0.numerator, theta0.denominator
-        k0, num, den, is_node = node_offsets(theta0, n, 0.5)
-        # sigma_n = num/den = n (theta0 - theta_k0)/pi, with num < den <= 2q
-        before, after = num, den - num
-        if isinstance(n, np.ndarray):
-            k0, before, after = k0.astype(np.int64), before.astype(float), after.astype(float)
-        scale = math.pi / (n * float(den))
-        return is_node, k0, after * scale, before * scale, math.pi * p / q, math.pi * (q - p) / q
-    k0, _, _, is_node = node_offsets(theta0 / math.pi, n, 0.5)
-    return (is_node, k0, *_float_gaps(theta0, n, k0), theta0, (math.pi - theta0) + _PI_LO)
+    k0, num, den, is_node = node_offsets(ratio, n, 0.5)
+    if not isinstance(ratio, Fraction):
+        return (is_node, k0, *_float_gaps(ratio, n, k0))
+    p, q = ratio.numerator, ratio.denominator
+    # sigma_n = num/den = n (theta0 - theta_k0)/pi, with num < den <= 2q
+    before, after = num, den - num
+    if isinstance(n, np.ndarray):
+        k0, before, after = k0.astype(np.int64), before.astype(float), after.astype(float)
+    scale = math.pi / (n * float(den))
+    return is_node, k0, after * scale, before * scale, math.pi * p / q, math.pi * (q - p) / q
 
 
 def _cot_sum(ab: np.ndarray) -> np.ndarray:
@@ -218,9 +222,9 @@ def fundamental_weights(grid: ChebyshevGrid, x: float) -> np.ndarray:
         return out
     # more than NODE_ATOL from every node, theta is far enough from each
     # node angle for floor(t_n) to be the node index and both gaps positive
-    n = grid.n
-    k0 = int(n * theta / math.pi + 0.5)
-    weights, scale = _weights(n, k0, *_float_gaps(theta, n, k0), theta, (math.pi - theta) + _PI_LO)
+    n, ratio = grid.n, theta / math.pi
+    k0 = int(n * ratio + 0.5)
+    weights, scale = _weights(n, k0, *_float_gaps(ratio, n, k0))
     weights *= scale
     return weights
 
@@ -364,15 +368,16 @@ def _general_sum(grid: ChebyshevGrid, f: JumpFunction, k0, gap, gap_before, angl
 
 
 def lagrange_at_jump(
-    grid: ChebyshevGrid, f: JumpFunction, jump_index: int, theta0=None
+    grid: ChebyshevGrid, f: JumpFunction, jump_index: int, ratio=None
 ) -> float:
     """Interpolant value at the jump location x_i = cos(theta_i).
 
-    theta0 (Fraction p/q for pi*p/q, float angle, or None to derive it from
-    the stored location) drives the exact node-coincidence decision: when
-    the location is a node of this grid the interpolant reproduces the
-    declared point value.  Otherwise the kernel gives the weights from the
-    jump's two node gaps, and they are summed one of two ways:
+    ratio is the location theta_i/pi, a Fraction p/q or a float, or None
+    for acos(x_i)/pi from the stored location; it drives the node-
+    coincidence decision: when the location is a node of this grid the
+    interpolant reproduces the declared point value.  Otherwise the kernel
+    gives the weights from the jump's two node gaps, and they are summed
+    one of two ways:
 
       * one side, where f.step_limits is set: a one-order step_sweep, which
         takes the shorter side's sum where _one_side serves the order;
@@ -384,24 +389,24 @@ def lagrange_at_jump(
     the same node decisions and agrees to rounding.
     """
     jump = f.jumps[jump_index]
-    if theta0 is None:
-        theta0 = math.acos(jump.x_float)
+    if ratio is None:
+        ratio = math.acos(jump.x_float) / math.pi
     if f.step_limits is not None:
-        return float(step_sweep(f, theta0, [grid.n])[0])
-    is_node, k0, gap, gap_before, angle, supplement = _location(theta0, grid.n)
+        return float(step_sweep(f, ratio, [grid.n])[0])
+    is_node, k0, gap, gap_before, angle, supplement = _location(ratio, grid.n)
     if is_node:
         return jump.value
     return _general_sum(grid, f, k0, gap, gap_before, angle, supplement)
 
 
-def step_sweep(f: JumpFunction, theta0, n_values) -> np.ndarray:
+def step_sweep(f: JumpFunction, ratio, n_values) -> np.ndarray:
     """L_n f at the jump of a single-jump constant-base f, for many n.
 
-    theta0 is the jump's angle, a Fraction p/q for pi*p/q or a float; n_values
-    holds the grid orders n >= 1, a range or any other sequence of ints.  The
-    result has one value per order, in the same order: the point value at a
-    node, the one-side sum over the shorter side, batched over _ROWS
-    off-node orders at a time, where _one_side serves the order, and the
+    ratio is the jump's location theta0/pi, a Fraction p/q or a float;
+    n_values holds the grid orders n >= 1, a range or any other sequence of
+    ints.  The result has one value per order, in the same order: the point
+    value at a node, the one-side sum over the shorter side, batched over
+    _ROWS off-node orders at a time, where _one_side serves the order, and the
     general sum, one order at a time, at the rest.  lagrange_at_jump gives
     the same value at each order.
     """
@@ -410,7 +415,7 @@ def step_sweep(f: JumpFunction, theta0, n_values) -> np.ndarray:
     n = n_array(n_values)
     if n.size and n.min() < 1:
         raise ValueError("grid order must be >= 1")
-    is_node, k0, gap, gap_before, angle, supplement = _location(theta0, n)
+    is_node, k0, gap, gap_before, angle, supplement = _location(ratio, n)
     out = np.full(n.size, f.jumps[0].value)
     live = np.flatnonzero(~is_node)
     for start in range(0, live.size, _ROWS):

@@ -22,7 +22,12 @@ one site of both rules for that decision:
     carries, about eps*t_n, which passes OFFSET_TOL once t_n exceeds about
     4500.
 
-NODE_ATOL is the other float tolerance: a point within NODE_ATOL of a jump
+OFFSET_TOL is read only by node_offsets; the operators take its decision,
+k0 and sigma_n, and build their weights from it.
+
+NODE_ATOL is the other float tolerance, read only by the point values
+(eval_many, one_sided_limits) and by Lagrange's cardinal rule, with the
+one-side gate that keeps clear of both: a point within NODE_ATOL of a jump
 location or a grid node is that point, so a node computed through a
 different floating-point route still picks up the jump's point value or
 the cardinal weights.

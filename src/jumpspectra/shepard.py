@@ -4,14 +4,17 @@
 
 At a grid node the operator reproduces the sample exactly; elsewhere it is
 a convex combination of the samples, so values always stay inside the
-sampled range.  Weights are computed with the minimum distance factored
-out, (d_min/d_k)^s, which cannot overflow for any s in the supported box
-[1, 20].
+sampled range.
 
 Node coincidences are decided by piecewise.node_offsets (shift 0): by
 integer divisibility (q | n p) for a rational evaluation point x0 = p/q,
 never by floating-point closeness, and by the offset rule of the piecewise
-module for a float point.
+module for a float point.  The weights come from the same call: off a node,
+with k0 = floor(n x0) and sigma = frac(n x0) = num/den, the distances
+n |x0 - k/n| are (k0 - k) + sigma for k <= k0 and (k - k0 - 1) + (1 - sigma)
+after it, exact integers plus the offset, and (d_min/d_k)^s with
+d_min = min(sigma, 1 - sigma) > 0 cannot overflow or divide by zero for any
+s in the supported box [1, 20].
 
 step_sweep evaluates the operator at the jump of a single-jump,
 constant-base function for a whole range of n at once.  It rearranges the
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import digamma, zeta
 
-from .piecewise import OFFSET_TOL, JumpFunction, n_array, node_offsets
+from .piecewise import JumpFunction, n_array, node_offsets
 from .specfun import SHEPARD_S_MAX, SHEPARD_S_MIN
 
 
@@ -55,18 +58,23 @@ class ShepardConfig:
         return np.arange(self.n + 1) / self.n
 
 
+def _offset_sum(cfg: ShepardConfig, f: JumpFunction, k0, num, den) -> float:
+    """Operator value off a node, at the point of node index k0 and offset
+    sigma = num/den (node_offsets, shift 0)."""
+    # sigma and 1 - sigma each rounded once, so neither reads 0 off a node
+    before, after = num / den, (den - num) / den
+    dist = np.concatenate((np.arange(k0, -1, -1) + before, np.arange(cfg.n - k0) + after))
+    weights = (min(before, after) / dist) ** cfg.s
+    return float(np.sum(f.eval_many(cfg.nodes) * weights) / np.sum(weights))
+
+
 def shepard_eval(cfg: ShepardConfig, f: JumpFunction, x) -> float:
-    """Operator value at x in [0, 1]; reproduces f exactly at grid nodes."""
-    k0, _, _, is_node = node_offsets(x, cfg.n, 0)
+    """Operator value at x in [0, 1] (a float or a Fraction); reproduces f
+    exactly at grid nodes."""
+    k0, num, den, is_node = node_offsets(x, cfg.n, 0)
     if is_node:
         return f.eval(k0 / cfg.n)
-    nodes = cfg.nodes
-    dist = np.abs(float(x) - nodes)
-    dmin = dist.min()
-    if dmin < OFFSET_TOL:  # division guard: keeps (dmin/dist)**s off 0/0
-        return f.eval(nodes[int(np.argmin(dist))])
-    weights = (dmin / dist) ** cfg.s
-    return float(np.sum(f.eval_many(nodes) * weights) / np.sum(weights))
+    return _offset_sum(cfg, f, k0, num, den)
 
 
 def shepard_at_jump(cfg: ShepardConfig, f: JumpFunction, jump_index: int, x0=None) -> float:
@@ -76,11 +84,10 @@ def shepard_at_jump(cfg: ShepardConfig, f: JumpFunction, jump_index: int, x0=Non
     exactly).  Equals shepard_eval at the same point.
     """
     jump = f.jumps[jump_index]
-    if x0 is None:
-        x0 = jump.x
-    if node_offsets(x0, cfg.n, 0)[3]:
+    k0, num, den, is_node = node_offsets(jump.x if x0 is None else x0, cfg.n, 0)
+    if is_node:
         return jump.value
-    return shepard_eval(cfg, f, float(x0))
+    return _offset_sum(cfg, f, k0, num, den)
 
 
 def _sweep_sums(sigma: np.ndarray, k0: np.ndarray, n: np.ndarray, s: float):

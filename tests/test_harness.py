@@ -65,8 +65,7 @@ class TestRunSequence:
         cfg = lagrange_cfg(location=location, n_max=300, stride=7)
         f, i = cfg.resolved_fn()
         ratio = cfg.location_ratio()
-        angle = ratio if isinstance(ratio, Fraction) else math.pi * ratio
-        expected = [lagrange_at_jump(ChebyshevGrid(n), f, i, angle) for n in cfg.ns()]
+        expected = [lagrange_at_jump(ChebyshevGrid(n), f, i, ratio) for n in cfg.ns()]
         assert run_sequence(cfg).values.tolist() == expected
 
     def test_user_descriptor(self, tmp_path):
@@ -252,6 +251,14 @@ class TestOutputs:
         }
         assert data["config"]["location"] == {"num": 1, "den": 2}
         assert data["report"]["pass"] is True
+        # the cluster knobs left at their defaults are written as those values
+        config = dict(data["config"])
+        assert config.pop("fn")["jumps"][0]["value"] == -0.25
+        assert json.dumps(config, sort_keys=True) == (
+            '{"gap": 0.01, "index_tol": 0.02, "jump_index": 0, "ks_tol": 0.05, '
+            '"location": {"den": 2, "num": 1}, "n_max": 300, "operator": "lagrange", '
+            '"stride": 1, "tail_fraction": 0.5, "value_tol": 0.002}'
+        )
 
     @pytest.mark.parametrize(
         "location, expected",

@@ -183,8 +183,7 @@ class TestSigma:
         assert nodes == [1, 3, 5, 7, 9, 11, 13, 15, 17, 19]
 
     def test_float_path_agrees(self):
-        # the ratio lagrange_at_jump derives from the float angle pi/3
-        ratio = (math.pi / 3) / math.pi
+        ratio = 1 / 3
         for n in range(1, 30):
             k0, num, den, is_node = node_offsets(Fraction(1, 3), n, 0.5)
             approx = node_offsets(ratio, n, 0.5)
@@ -194,16 +193,16 @@ class TestSigma:
 
     @pytest.mark.parametrize("n, k", [(4099, 1000), (100003, 30001), (3000017, 1000001)])
     def test_float_node_at_large_n(self, n, k):
-        # theta0 = theta_{n,k} in floating point: t = n*theta0/pi + 1/2 carries
-        # rounding of about eps*t, past 1e-12 at the largest n
-        k0, sigma, _, is_node = node_offsets(math.pi * (2 * k - 1) / (2 * n) / math.pi, n, 0.5)
+        # the ratio theta_{n,k}/pi in floating point: t = n*ratio + 1/2
+        # carries rounding of about eps*t, past 1e-12 at the largest n
+        k0, sigma, _, is_node = node_offsets((2 * k - 1) / (2 * n), n, 0.5)
         assert is_node and k0 == k and sigma == 0.0
 
     def test_angle_validation(self):
         with pytest.raises(ValueError):
             node_offsets(Fraction(3, 2), 5, 0.5)
         with pytest.raises(ValueError):
-            node_offsets(4.0 / math.pi, 5, 0.5)
+            node_offsets(1.25, 5, 0.5)
 
 
 class TestAtJump:
@@ -261,41 +260,51 @@ class TestAtJump:
     def test_rational_and_float_angle_paths_agree(self, q, p_seed, n):
         p = 1 + p_seed % (q - 1)
         assume(math.gcd(p, q) == 1)
-        angle = math.pi * p / q
-        h = pure_step(math.cos(angle), 0.3, "left0_right1", (-1.0, 1.0))
+        h = pure_step(math.cos(math.pi * p / q), 0.3, "left0_right1", (-1.0, 1.0))
         grid = ChebyshevGrid(n)
         exact = lagrange_at_jump(grid, h, 0, Fraction(p, q))
         if node_offsets(Fraction(p, q), n, 0.5)[3]:
             assert exact == 0.3
-            assert lagrange_at_jump(grid, h, 0, angle) == 0.3
+            assert lagrange_at_jump(grid, h, 0, p / q) == 0.3
         else:
-            assert lagrange_at_jump(grid, h, 0, angle) == pytest.approx(exact, abs=1e-10)
+            assert lagrange_at_jump(grid, h, 0, p / q) == pytest.approx(exact, abs=1e-10)
 
     def test_float_angle_path(self):
-        h = pure_step(math.cos(1.0), 0.3, "left0_right1", (-1.0, 1.0))
-        value = lagrange_at_jump(ChebyshevGrid(64), h, 0, 1.0)
+        h = pure_step(math.cos(0.3 * math.pi), 0.3, "left0_right1", (-1.0, 1.0))
+        value = lagrange_at_jump(ChebyshevGrid(64), h, 0, 0.3)
         assert -0.2 < value < 1.2
 
+    def test_location_is_a_ratio_not_an_angle(self):
+        h = pure_step(0.5, 0.3, "left0_right1", (-1.0, 1.0))
+        # the default is acos(x0)/pi = 1/3 to rounding
+        assert lagrange_at_jump(ChebyshevGrid(10), h, 0) == pytest.approx(
+            lagrange_at_jump(ChebyshevGrid(10), h, 0, Fraction(1, 3)), abs=1e-14
+        )
+        with pytest.raises(TypeError):
+            lagrange_at_jump(ChebyshevGrid(10), h, 0, theta0=math.pi / 3)
+        with pytest.raises(ValueError):
+            lagrange_at_jump(ChebyshevGrid(10), h, 0, math.pi / 3)
 
-def _general_weights(grid, theta0):
+
+def _general_weights(grid, ratio):
     """Every node's weight, from the gaps lagrange_at_jump uses."""
-    _, k0, gap, gap_before, angle, supplement = _location(theta0, grid.n)
+    _, k0, gap, gap_before, angle, supplement = _location(ratio, grid.n)
     weights, scale = _weights(grid.n, k0, gap, gap_before, angle, supplement)
     return weights * scale
 
 
-def _general_sum(grid, f, theta0):
+def _general_sum(grid, f, ratio):
     """The general path of lagrange_at_jump off a node: the weights against
     f at every node, or f at a node within NODE_ATOL of x0."""
-    return _library_general_sum(grid, f, *_location(theta0, grid.n)[1:])
+    return _library_general_sum(grid, f, *_location(ratio, grid.n)[1:])
 
 
-def _at_jump(grid, f, theta0, jump_index=0):
+def _at_jump(grid, f, ratio, jump_index=0):
     """lagrange_at_jump's value, and whether it evaluated f at the nodes."""
     with mock.patch.object(
         JumpFunction, "eval_many", autospec=True, side_effect=JumpFunction.eval_many
     ) as spy:
-        value = lagrange_at_jump(grid, f, jump_index, theta0)
+        value = lagrange_at_jump(grid, f, jump_index, ratio)
     return value, spy.called
 
 
@@ -315,22 +324,22 @@ class TestOneSideSum:
         n=st.integers(min_value=1, max_value=3000),
         d=st.floats(min_value=-2.0, max_value=2.0),
         limits=st.sampled_from([(0.0, 1.0), (1.0, 0.0), (-0.75, 2.5), (3.0, 0.5)]),
-        float_angle=st.booleans(),
+        float_ratio=st.booleans(),
     )
-    def test_matches_the_general_sum(self, q, p_seed, n, d, limits, float_angle):
+    def test_matches_the_general_sum(self, q, p_seed, n, d, limits, float_ratio):
         p = 1 + p_seed % (q - 1)
         assume(math.gcd(p, q) == 1)
-        theta0 = math.pi * p / q if float_angle else Fraction(p, q)
+        ratio = p / q if float_ratio else Fraction(p, q)
         f = _step(math.cos(math.pi * p / q), limits, d)
         grid = ChebyshevGrid(n)
-        value, evaluated_f = _at_jump(grid, f, theta0)
+        value, evaluated_f = _at_jump(grid, f, ratio)
         if node_offsets(Fraction(p, q), n, 0.5)[3]:
             assert value == d
         else:
             # with q <= 60 and n <= 3000 no node is within 1e-7 of x0, so
-            # every order passes the gate, on an exact and a float angle
+            # every order passes the gate, on an exact and a float ratio
             assert not evaluated_f
-            assert value == pytest.approx(_general_sum(grid, f, theta0), abs=1e-14)
+            assert value == pytest.approx(_general_sum(grid, f, ratio), abs=1e-14)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -356,50 +365,49 @@ class TestOneSideSum:
         f = _step(math.cos(3 * math.pi / 8), (0.0, 1.0), 0.37)
         for n in (4, 12, 20):
             assert _at_jump(ChebyshevGrid(n), f, Fraction(3, 8)) == (0.37, False)
-            assert _at_jump(ChebyshevGrid(n), f, 3 * math.pi / 8) == (0.37, False)
+            assert _at_jump(ChebyshevGrid(n), f, 3 / 8) == (0.37, False)
 
     @pytest.mark.parametrize("limits", [(0.0, 1.0), (1.0, 0.0), (-0.75, 2.5)])
-    @pytest.mark.parametrize("float_angle", [False, True])
-    def test_every_node_on_one_side(self, limits, float_angle):
+    @pytest.mark.parametrize("float_ratio", [False, True])
+    def test_every_node_on_one_side(self, limits, float_ratio):
         # theta0 = pi/7 lies before theta_1 = pi/6 (k0 = 0): every node samples
         # the left limit; 6pi/7 lies past theta_3 = 5pi/6 (k0 = n)
         grid = ChebyshevGrid(3)
         left, right = limits
         for ratio, k0, limit in ((Fraction(1, 7), 0, left), (Fraction(6, 7), 3, right)):
             assert node_offsets(ratio, 3, 0.5)[0] == k0
-            theta0 = math.pi * ratio.numerator / ratio.denominator if float_angle else ratio
+            location = float(ratio) if float_ratio else ratio
             f = _step(math.cos(math.pi * ratio.numerator / ratio.denominator), limits, 0.3)
-            value, evaluated_f = _at_jump(grid, f, theta0)
+            value, evaluated_f = _at_jump(grid, f, location)
             assert not evaluated_f
             assert value == pytest.approx(limit, abs=1e-14)
-            assert value == pytest.approx(_general_sum(grid, f, theta0), abs=1e-14)
+            assert value == pytest.approx(_general_sum(grid, f, location), abs=1e-14)
 
     def test_node_between_location_and_jump_takes_the_general_path(self):
-        # the descriptor's jump sits 6e-10 (in angle) from the location, with
-        # node k = 13 of n = 40 between them: the nodes' values differ from
-        # the one-side partition, so the general path answers, bit for bit
+        # the descriptor's jump sits 2e-10 (in theta/pi) from the location,
+        # with node k = 13 of n = 40 between them: the nodes' values differ
+        # from the one-side partition, so the general path answers, bit for bit
         n, k = 40, 13
-        theta_k = (2 * k - 1) * math.pi / (2 * n)
-        theta0 = theta_k + 3e-10
-        f = _step(math.cos(theta_k - 3e-10), (0.0, 1.0), 0.3)
+        ratio = (2 * k - 1) / (2 * n) + 1e-10
+        f = _step(math.cos(math.pi * ((2 * k - 1) / (2 * n) - 1e-10)), (0.0, 1.0), 0.3)
         grid = ChebyshevGrid(n)
-        assert f.jumps[0].x_float > grid.nodes[k - 1] > math.cos(theta0)
-        value, evaluated_f = _at_jump(grid, f, theta0)
+        assert f.jumps[0].x_float > grid.nodes[k - 1] > math.cos(math.pi * ratio)
+        value, evaluated_f = _at_jump(grid, f, ratio)
         assert evaluated_f
-        assert value == _general_sum(grid, f, theta0)
+        assert value == _general_sum(grid, f, ratio)
 
     @pytest.mark.parametrize(
-        "base, declared, theta0",
+        "base, declared, ratio",
         [
             # base 1000 on the rational path: the declared left limit is
             # 5e-7 off, within validation's 1e-9 relative
             (1000.0, (1000.0000005, 1001.0), Fraction(2, 7)),
-            # base 0 on a float angle: the declared left limit is 5e-10, but
+            # base 0 on a float ratio: the declared left limit is 5e-10, but
             # the nodes left of the jump give 0
-            (0.0, (5e-10, 1.0), 2 * math.pi / 7),
+            (0.0, (5e-10, 1.0), 2 / 7),
         ],
     )
-    def test_limits_are_the_values_at_the_nodes(self, base, declared, theta0):
+    def test_limits_are_the_values_at_the_nodes(self, base, declared, ratio):
         x0 = math.cos(2 * math.pi / 7)
         f = from_descriptor_dict(
             {
@@ -411,9 +419,9 @@ class TestOneSideSum:
         assert f.step_limits[0] == base != f.jumps[0].left
         for n in (5, 64, 1001):
             grid = ChebyshevGrid(n)
-            value, evaluated_f = _at_jump(grid, f, theta0)
+            value, evaluated_f = _at_jump(grid, f, ratio)
             assert not evaluated_f
-            assert value == pytest.approx(_general_sum(grid, f, theta0), abs=1e-10)
+            assert value == pytest.approx(_general_sum(grid, f, ratio), abs=1e-10)
 
     def test_general_functions_take_the_general_path(self):
         f, i = _two_jump_at(Fraction(1, 3))
@@ -428,11 +436,11 @@ class TestOneSideSum:
 
 @st.composite
 def _sweep_cases(draw):
-    """(f, theta0, n_values) for step_sweep: a step at an exact angle pi*p/q
-    (q up to 10^6, or past 2**51 so that 4nq > 2**53), at a float angle, at
-    a float angle just past a node whose jump sits just before it, or at a
-    float angle where t_n = n*theta0/pi + 1/2 sits 1 to 4 times node_offsets'
-    float tolerance 4*eps*t_n from an integer."""
+    """(f, ratio, n_values) for step_sweep: a step at an exact ratio
+    theta0/pi = p/q (q up to 10^6, or past 2**51 so that 4nq > 2**53), at a
+    float ratio, at a float ratio just past a node whose jump sits just
+    before it, or at a float ratio where t_n = n*ratio + 1/2 sits 1 to 4
+    times node_offsets' float tolerance 4*eps*t_n from an integer."""
     kind = draw(st.sampled_from(
         ["small q", "large q", "huge q", "float", "beside a node", "float rule edge"]
     ))
@@ -448,8 +456,8 @@ def _sweep_cases(draw):
         n0 = draw(st.integers(2, 1500))
         k = draw(st.integers(1, n0))
         delta = draw(st.floats(min_value=1e-12, max_value=1e-9))
-        theta_k = (2 * k - 1) * math.pi / (2 * n0)
-        theta0, x = theta_k + delta, math.cos(theta_k - delta)
+        node = (2 * k - 1) / (2 * n0)
+        ratio, x = node + delta, math.cos(math.pi * (node - delta))
         n_values = list(n_values) + [n0]
     elif kind == "float rule edge":
         # past t = 1126, 4*eps*t is above OFFSET_TOL and sets the rule
@@ -457,12 +465,12 @@ def _sweep_cases(draw):
         k = draw(st.integers(1130, n0))
         side = draw(st.sampled_from([-1.0, 1.0]))
         t = k + side * draw(st.floats(min_value=1.0, max_value=4.0)) * 4 * np.finfo(float).eps * k
-        theta0 = math.pi * ((t - 0.5) / n0)
-        x = math.cos(theta0)
+        ratio = (t - 0.5) / n0
+        x = math.cos(math.pi * ratio)
         n_values = list(n_values) + [n0]
     elif kind == "float":
-        theta0 = math.pi * draw(st.floats(min_value=0.01, max_value=0.99))
-        x = math.cos(theta0)
+        ratio = draw(st.floats(min_value=0.01, max_value=0.99))
+        x = math.cos(math.pi * ratio)
     else:
         q = {"small q": draw(st.integers(2, 12)), "large q": draw(st.integers(13, 10**6)),
              "huge q": draw(st.integers(2**51, 2**60))}[kind]
@@ -470,7 +478,7 @@ def _sweep_cases(draw):
         margin = q // 50 if kind == "huge q" else 1
         p = draw(st.integers(margin, q - margin))
         assume(math.gcd(p, q) == 1)
-        theta0 = Fraction(p, q)
+        ratio = Fraction(p, q)
         x = math.cos(math.pi * p / q)
     left, right = limits
     if draw(st.booleans()):
@@ -481,7 +489,7 @@ def _sweep_cases(draw):
         })
     else:
         f = _step(x, limits, d)
-    return f, theta0, n_values
+    return f, ratio, n_values
 
 
 class TestStepSweep:
@@ -491,11 +499,11 @@ class TestStepSweep:
     @settings(max_examples=100, deadline=None)
     @given(case=_sweep_cases())
     def test_matches_per_n_evaluation(self, case):
-        f, theta0, n_values = case
-        values = step_sweep(f, theta0, n_values)
+        f, ratio, n_values = case
+        values = step_sweep(f, ratio, n_values)
         assert values.shape == (len(n_values),)
         ns = np.asarray(list(n_values))
-        is_node, k0, gap, gap_before, angle, supplement = _location(theta0, ns)
+        is_node, k0, gap, gap_before, angle, supplement = _location(ratio, ns)
         # every off-node row lies strictly between two node angles
         assert np.all(gap[~is_node] > 0) and np.all(gap_before[~is_node] > 0)
         assert np.all(np.isfinite(values))
@@ -507,7 +515,7 @@ class TestStepSweep:
         left, right = f.step_limits
         for n, value, node, one_side in zip(ns.tolist(), values, is_node, served):
             grid = ChebyshevGrid(n)
-            assert value == lagrange_at_jump(grid, f, 0, theta0)
+            assert value == lagrange_at_jump(grid, f, 0, ratio)
             if node:
                 assert value == f.jumps[0].value
             elif one_side:
@@ -515,26 +523,25 @@ class TestStepSweep:
                 # summed side's weights, and the one-side sum puts 1 for
                 # sum(w): they differ by the limit not summed times
                 # sum(w) - 1, a few eps, plus the rounding of the summed side
-                weights = _general_weights(grid, theta0)
+                weights = _general_weights(grid, ratio)
                 tol = (1e-14 + 2 * max(abs(left), abs(right)) * abs(weights.sum() - 1.0)
                        + 16 * np.finfo(float).eps * abs(right - left) * np.abs(weights).sum())
-                assert value == pytest.approx(_general_sum(grid, f, theta0), abs=tol)
+                assert value == pytest.approx(_general_sum(grid, f, ratio), abs=tol)
             else:
-                assert value == _general_sum(grid, f, theta0)
+                assert value == _general_sum(grid, f, ratio)
 
     def test_takes_the_general_path_only_where_the_bracket_fails(self):
-        # the jump of a descriptor sits 3e-10 (in angle) before node k = 13
-        # of n = 40 and the location 3e-10 past it
+        # the jump of a descriptor sits 1e-10 (in theta/pi) before node
+        # k = 13 of n = 40 and the location 1e-10 past it
         n, k = 40, 13
-        theta_k = (2 * k - 1) * math.pi / (2 * n)
-        theta0 = theta_k + 3e-10
-        f = _step(math.cos(theta_k - 3e-10), (0.0, 1.0), 0.3)
+        ratio = (2 * k - 1) / (2 * n) + 1e-10
+        f = _step(math.cos(math.pi * ((2 * k - 1) / (2 * n) - 1e-10)), (0.0, 1.0), 0.3)
         with mock.patch.object(
             JumpFunction, "eval_many", autospec=True, side_effect=JumpFunction.eval_many
         ) as spy:
-            values = step_sweep(f, theta0, range(38, 43))
+            values = step_sweep(f, ratio, range(38, 43))
         assert [call.args[1].size for call in spy.call_args_list] == [n]
-        assert values[2] == _general_sum(ChebyshevGrid(n), f, theta0)
+        assert values[2] == _general_sum(ChebyshevGrid(n), f, ratio)
 
     def test_large_denominators_take_the_one_side_sum(self):
         # 4nq passes 2**53 at n = 128; the gaps come from node_offsets'
@@ -577,17 +584,18 @@ class TestStepSweep:
         # theta0 within 1e-7 of node k = 200 of n = 777, exact and float
         (Fraction(399, 1554) + Fraction(1, 10**8), [777]),
         (399 / 1554 + 1e-8, [777]),
-        # float angles as a declared-irrational location passes them
+        # float ratios as a declared-irrational location passes them
         (math.sqrt(3) - 1, [1741]),
         (math.sqrt(2) / 2, [1562]),
         ((math.sqrt(5) - 1) / 2, [305]),
+        (0.001, [3000]),
+        (0.999, [3000]),
     ])
     def test_error_against_a_40_digit_sum(self, ratio, ns):
         mpmath = pytest.importorskip("mpmath")
-        theta0 = ratio if isinstance(ratio, Fraction) else math.pi * ratio
-        f = _step(math.cos(_location(theta0, 1)[4]), (0.0, 1.0), 0.3)
-        for n, value in zip(ns, step_sweep(f, theta0, ns)):
-            assert abs(value - _exact_sum(mpmath, theta0, ChebyshevGrid(n), f)) < 1e-15
+        f = _step(math.cos(_location(ratio, 1)[4]), (0.0, 1.0), 0.3)
+        for n, value in zip(ns, step_sweep(f, ratio, ns)):
+            assert abs(value - _exact_sum(mpmath, ratio, ChebyshevGrid(n), f)) < 1e-15
 
     def test_general_path_error_against_a_40_digit_sum(self):
         # near theta0/pi = 1, where a_k nears pi
@@ -600,16 +608,16 @@ class TestStepSweep:
         assert abs(value - _exact_sum(mpmath, ratio, grid, f)) < 1e-15
 
 
-def _exact_sum(mpmath, theta0, grid, f):
+def _exact_sum(mpmath, ratio, grid, f):
     """sum_k ell_{n,k}(cos theta0) f(x_{n,k}) to 40 digits, with the
-    double node values f takes: at the exact angle of a Fraction theta0, and
-    at the double theta0 itself for a float."""
+    double node values f takes, at theta0 = pi*ratio for the exact value of
+    ratio: p/q for a Fraction, the double itself for a float."""
     n = grid.n
     with mpmath.workdps(40):
-        if isinstance(theta0, Fraction):
-            theta0 = mpmath.pi * theta0.numerator / theta0.denominator
+        if isinstance(ratio, Fraction):
+            theta0 = mpmath.pi * ratio.numerator / ratio.denominator
         else:
-            theta0 = mpmath.mpf(theta0)
+            theta0 = mpmath.pi * mpmath.mpf(ratio)
         scale = mpmath.cos(n * theta0) / (2 * n)
         total = 0
         for k, fk in enumerate(f.eval_many(grid.nodes).tolist(), start=1):

@@ -21,6 +21,21 @@ H_HALF = pure_step(Fraction(1, 2), 0.3, "left1_right0", (0.0, 1.0))
 H_THIRD = pure_step(Fraction(1, 3), 0.3, "left1_right0", (0.0, 1.0))
 
 
+def _linear_base(x0):
+    """The benchmark's linear-base function: x plus a unit jump at x0."""
+    return from_steps(ContinuousPart((0.0, 1.0)), [(x0, 1.0, 0.8)], (0.0, 1.0))
+
+
+def _exact_sum(mpmath, cfg, f, x):
+    """S_{n,s} f(x) to 40 digits, with the double node values f takes, at
+    the exact value of x (p/q for a Fraction, the double itself for a float)."""
+    with mpmath.workdps(40):
+        x = mpmath.mpf(x.numerator) / x.denominator if isinstance(x, Fraction) else mpmath.mpf(x)
+        weights = [abs(x - mpmath.mpf(k) / cfg.n) ** -cfg.s for k in range(cfg.n + 1)]
+        values = f.eval_many(cfg.nodes).tolist()
+        return float(mpmath.fsum(w * v for w, v in zip(weights, values)) / mpmath.fsum(weights))
+
+
 class TestEval:
     def test_constant_reproduced(self):
         f = JumpFunction(ContinuousPart((2.75,)), (), (0.0, 1.0))
@@ -55,6 +70,20 @@ class TestEval:
         value = shepard_eval(ShepardConfig(20.0, 200), H_HALF, 0.2501)
         assert np.isfinite(value)
         assert 0.0 <= value <= 1.0
+
+    def test_offset_just_past_the_node_tolerance(self):
+        # sigma = frac(100 x) is about 5e-12, above the float node rule's
+        # 1e-12, while |x - 37/100| is about 5e-14: every weight comes from
+        # sigma, so the value is the sum's, however close x is to the node
+        mpmath = pytest.importorskip("mpmath")
+        cfg, f = ShepardConfig(2.0, 100), _linear_base(Fraction(1, 3))
+        x = 0.37 + 5e-14
+        k0, sigma, _, is_node = node_offsets(x, cfg.n, 0)
+        assert not is_node and k0 == 37 and 4e-12 < sigma < 6e-12
+        value = shepard_eval(cfg, f, x)
+        samples = f.eval_many(cfg.nodes)
+        assert np.isfinite(value) and samples.min() <= value <= samples.max()
+        assert abs(value - _exact_sum(mpmath, cfg, f, x)) < 1e-15
 
     @given(
         x=st.floats(min_value=0.0, max_value=1.0),
@@ -105,6 +134,28 @@ class TestAtJump:
             assert shepard_at_jump(cfg, H_THIRD, 0) == pytest.approx(
                 shepard_eval(cfg, H_THIRD, float(Fraction(1, 3))), abs=1e-12
             )
+
+    @pytest.mark.parametrize("x0", [Fraction(1, 3), Fraction(2, 3)])
+    def test_linear_base_against_a_40_digit_sum(self, x0):
+        mpmath = pytest.importorskip("mpmath")
+        f = _linear_base(x0)
+        for n in (7, 100, 998, 1000, 1997, 2000):
+            cfg = ShepardConfig(2.0, n)
+            value = shepard_at_jump(cfg, f, 0)
+            assert abs(value - _exact_sum(mpmath, cfg, f, x0)) < 1e-15
+
+    def test_offset_within_an_ulp_of_one(self):
+        # 3 p = 2q - 1: at n = 3 sigma = (q - 1)/q rounds to 1.0, so the
+        # distance to the node after x0 must come from den - num, not 1 - sigma
+        q = 2**60 + 1
+        x0 = Fraction((2 * q - 1) // 3, q)
+        assert 3 * x0.numerator == 2 * q - 1
+        mpmath = pytest.importorskip("mpmath")
+        h = pure_step(x0, 0.3, "left1_right0", (0.0, 1.0))
+        for cfg in (ShepardConfig(2.0, 3), ShepardConfig(1.0, 3)):
+            value = shepard_at_jump(cfg, h, 0)
+            assert np.isfinite(value)
+            assert abs(value - _exact_sum(mpmath, cfg, h, x0)) < 1e-15
 
     def test_s1_midpoint_rate(self):
         # the approach to 1/2 for s=1 is logarithmic: the two offset classes
