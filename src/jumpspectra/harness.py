@@ -44,7 +44,7 @@ from .density import (
     tail_values,
 )
 from .lagrange import ChebyshevGrid, lagrange_at_jump
-from .lagrange import step_sweep as lagrange_step_sweep
+from .lagrange import sweep as lagrange_sweep
 from .piecewise import JumpFunction, n_array, node_offsets, pure_step
 from .shepard import ShepardConfig, shepard_at_jump, step_sweep
 from .specfun import SHEPARD_S_MAX, SHEPARD_S_MIN
@@ -202,8 +202,10 @@ def run_sequence(cfg: ExperimentConfig) -> SequencePrefix:
     """Operator values at the selected jump for n = 1, 1+stride, ...
 
     Pure and deterministic: the value at each position depends only on the
-    configuration.  A Lagrange step (f.step_limits set) goes through
-    lagrange.step_sweep, whose values equal lagrange_at_jump's at each n.
+    configuration.  Lagrange values come from one lagrange.sweep call, whose
+    values equal lagrange_at_jump's at each n; the orders it does not serve
+    (a trig base, n <= the degree of the polynomial base, a node near
+    another jump) go through lagrange_at_jump one at a time.
     """
     f, i = cfg.resolved_fn()
     ns = cfg.ns()
@@ -219,9 +221,9 @@ def run_sequence(cfg: ExperimentConfig) -> SequencePrefix:
             )
         return SequencePrefix(values)
     ratio = cfg.location_ratio()
-    if f.step_limits is not None:
-        return SequencePrefix(lagrange_step_sweep(f, ratio, ns))
-    values = np.array([lagrange_at_jump(ChebyshevGrid(n), f, i, ratio) for n in ns])
+    served, values = lagrange_sweep(f, i, ratio, ns)
+    for row in np.flatnonzero(~served).tolist():
+        values[row] = lagrange_at_jump(ChebyshevGrid(ns[row]), f, i, ratio)
     return SequencePrefix(values)
 
 

@@ -38,26 +38,41 @@ D' = pi/n ((t - (k0 - 1/2)) + e) and D = pi/n (((k0 + 1/2) - t) - e),
 whose leading differences are exact or at least 1/4, so both gaps are
 accurate to a few roundings however small.  The angle is then pi r and
 its supplement pi (1 - r).  fundamental_weights (at r = acos(x)/pi),
-lagrange_eval, lagrange_at_jump and step_sweep all evaluate that one
-kernel.  The O(n^2) product form is retained only as a test oracle.
+lagrange_eval, lagrange_at_jump and sweep all evaluate that one kernel.
+The O(n^2) product form is retained only as a test oracle.
 
-At a pure step (one jump on a constant base, JumpFunction.step_limits) the
-nodes on each side of the jump all sample one limit, and sum_k ell_{n,k} = 1
-to rounding, so
+L_n reproduces polynomials of degree < n.  So for f a polynomial base p
+plus jumps, f = p + sum_j a_j H(x - x_j), with a_j = right_j - left_j and
+H the side rule of eval_many (x >= x_j), and sum_k ell_{n,k} = 1 to
+rounding,
 
-    L_n f(x0) = left + (right - left) * sum_{theta_k < theta0} ell_{n,k}(x0),
+    L_n f(x0) = p(x0) + sum_j a_j sum_{x_k >= x_j} ell_{n,k}(x0)
+                + sum_{hits} ell_{n,k}(x0) (value_j - [p(x_k) + the jumps
+                  the sums put left of x_k]),
 
-and the kernel runs over the shorter side only: min(k0, n - k0) tangent
-pairs, from the jump outward, no evaluation of f at the nodes and no dot
-product.  On the shorter side every a_k lies on one side of pi/2.
-step_sweep computes that sum for every n of a run in batched passes: one
-node_offsets call, the gate as array tests, and the terms of many orders
-laid out in blocks of whole rows, each row summed over its own terms.
-lagrange_at_jump at a step is a one-order step_sweep, so a sweep value
-equals the per-n value bit for bit.  Every other case, and every order the
-gate turns away, gets the full weight vector against f at every node, one
-order at a time.  A grid computes its angles and nodes only when they are
-used.
+the hits being nodes on another jump x_j, where f takes that jump's point
+value.  Every inner sum is a k-range of x0's weights: the shorter side of
+x0, from the jump outward, or a prefix of either side up to another jump.
+The kernel runs over those ranges only, with no evaluation of f at the
+nodes and no dot product: at the p/3 jump of acceptance criterion 7's
+function, about n/2 tangent pairs per order.  sweep computes them for
+every n of a run in batched passes: one node_offsets call, the gates as
+array tests, and the terms of many orders laid out in blocks of whole
+rows, each row cut into its ranges and each range summed over its own
+terms.  At a step (one jump on a constant base) this is the one-side sum,
+left + (right - left) * sum_{theta_k < theta0} ell_{n,k}, or its mirror.
+
+sweep serves an order when f has no trig part, the domain holds [-1, 1],
+the degree len(poly) - 1 is below n, nodes k0 and k0 + 1 enclose x0 and
+the stored location with 2*NODE_ATOL to spare, and every node is either
+more than 2*NODE_ATOL from each other jump or within NODE_ATOL/2 of it (a
+hit, corrected with the side the sums gave that node, so a last-place
+difference between two cosines cannot flip it).  lagrange_at_jump runs a
+one-order sweep, so a sweep value equals the per-n value bit for bit;
+where the order is not served (trig bases, n <= deg p, a node between
+NODE_ATOL/2 and 2*NODE_ATOL of a jump) it takes the full weight vector
+against f at every node.  A grid computes its angles and nodes only when
+they are used.
 
 The node offset of a jump location x0 = cos(theta0) is
 sigma_n = frac(n*theta0/pi + 1/2), the fractional position of theta0 inside
@@ -73,6 +88,7 @@ parallelize.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from functools import cached_property
@@ -81,7 +97,7 @@ import numpy as np
 
 from .piecewise import NODE_ATOL, JumpFunction, n_array, node_offsets
 
-# step_sweep's one-side sum: terms per block, whose two buffers take
+# sweep's side sums: terms per block, whose two buffers take
 # 256 KB, and orders per call, which keeps the per-order arrays near 100 KB.
 # With both, the benchmark's lagrange_sweep peak RSS reads about 0.5 MB
 # above the one-order-at-a-time loop's (0.9 MB with every order in one
@@ -270,30 +286,69 @@ def _brackets(n: np.ndarray, k0: np.ndarray, *xs: float) -> np.ndarray:
     return inside
 
 
-def _side_sums(n, gap, reach, count) -> np.ndarray:
-    """sum_{j<count} (-1)^j (cot x_j + cot(x_j - reach)) for each row, with
-    x_j = gap/2 + j pi/(2n).
+def _other_jump(n: np.ndarray, x: float):
+    """(count, hit, clear) for another jump, at x, in the grids of the orders n.
 
-    A row is one side of the jump, from the jump outward: x_j = |b_k|, and
-    reach is theta0 on the side k <= k0 (x_j - reach = -a_k) and
-    pi - theta0 on the other (x_j - reach = a_k - pi), so a term is
-    -(cot a_k + cot b_k) on the first side and +(cot a_k + cot b_k) on the
-    second.  Every count is >= 1.  The rows, taken in order of count, fill
-    blocks of up to _BLOCK terms (or one longer row): a block is a
-    rectangle, one row per grid and one column per term, padded to its
-    longest row, and is computed by broadcasting into one buffer that every
-    block reuses.  Each row is summed over its own terms, so its sum does
-    not depend on its block.
+    count is the number of nodes with x_k >= x, the nodes eval_many puts
+    right of the jump; hit is the index of a node within NODE_ATOL/2 of x,
+    which eval_many gives the jump's point value, or 0; clear is whether
+    every node is either such a hit or more than 2*NODE_ATOL from x (and no
+    two are hits).  Where clear holds, a last-place difference between these
+    cosines and grid.nodes' moves no node across x or into or out of
+    NODE_ATOL of it.  Only the nearest node angle and its two neighbours can
+    come that close, and every node before them lies right of x.
+    """
+    theta = math.acos(min(max(x, -1.0), 1.0))
+    near = np.clip(np.rint(n * (theta / math.pi) + 0.5).astype(np.int64), 1, n)
+    count = np.maximum(near - 2, 0)
+    hit = np.zeros(n.size, dtype=np.int64)
+    clear = np.ones(n.size, dtype=bool)
+    for k in (near - 1, near, near + 1):
+        valid = (k >= 1) & (k <= n)
+        node = np.cos((2 * k - 1) * math.pi / (2 * n))
+        dist = np.abs(node - x)
+        count += valid & (node >= x)
+        on = valid & (dist <= NODE_ATOL / 2)
+        clear &= ~(valid & (dist <= 2 * NODE_ATOL)) | (on & (hit == 0))
+        hit = np.where(on, k, hit)
+    return count, hit, clear
+
+
+def _side_terms(n, gap, reach, j):
+    """(-1)^j (cot x_j + cot(x_j - reach)), x_j = gap/2 + j pi/(2n): the
+    j-th term of a _side_sums row, for single terms."""
+    x = j * (math.pi / (2 * n)) + gap / 2
+    return (1.0 / np.tan(x) + 1.0 / np.tan(x - reach)) * np.where(j % 2, -1.0, 1.0)
+
+
+def _side_sums(n, gap, reach, cuts) -> np.ndarray:
+    """Segment sums of sum_j (-1)^j (cot x_j + cot(x_j - reach)), with
+    x_j = gap/2 + j pi/(2n): column c of the result sums j over
+    [cuts[c-1], cuts[c]) (cuts[-1] read as 0; an empty range sums to 0).
+
+    A row is one side of the jump, from the jump outward, x_j = |b_k|, and
+    its length cuts[:, -1] is >= 1.  On the side k <= k0, reach is theta0
+    (x_j - reach = -a_k) or -(pi - theta0) (x_j - reach = pi - a_k); on the
+    other it is pi - theta0 (a_k - pi) or -theta0 (a_k), whichever keeps
+    the argument away from +-pi.  A term is -(cot a_k + cot b_k) on the
+    first side and +(cot a_k + cot b_k) on the second.  The rows, taken in
+    order of length, fill blocks of up to _BLOCK terms (or one longer row):
+    a block is a rectangle, one row per grid and one column per term, padded
+    to its longest row, and is computed by broadcasting into one buffer that
+    every block reuses.  Each segment is summed over its own terms, so a sum
+    does not depend on its block.
     """
     if not n.size:
-        return np.empty(0)
+        return np.empty(cuts.shape)
+    count = cuts[:, -1]
     order = np.argsort(count, kind="stable")
-    n, count, reach = n[order], count[order], reach[order]
+    n, count, reach, cuts = n[order], count[order], reach[order], cuts[order]
     step, start = math.pi / (2 * n), gap[order] / 2
+    bounds = np.column_stack((np.zeros(n.size, dtype=cuts.dtype), cuts))
     size = max(_BLOCK, int(count[-1]))
     buffer = np.empty((2, size))
     columns = np.arange(int(count[-1]), dtype=float)
-    sums = np.empty(n.size)
+    sums = np.zeros((n.size, bounds.shape[1]))
     i = 0
     while i < n.size:
         fits = np.arange(1, min(n.size - i, size // int(count[i])) + 1)
@@ -304,54 +359,95 @@ def _side_sums(n, gap, reach, count) -> np.ndarray:
         np.multiply(columns[:width], step[rows, None], out=x)
         x += start[rows, None]
         np.subtract(x, reach[rows, None], out=v)
-        # the padding past a row's count holds values that no sum reads
+        # the padding past a row's length holds values that no sum reads
         terms = _cot_sum(xv).reshape(j - i, width)
         terms[:, 1::2] *= -1.0
-        bounds = np.arange(j - i) * width
-        bounds = np.column_stack((bounds, bounds + count[rows])).ravel()[:-1]
-        sums[rows] = np.add.reduceat(terms.ravel(), bounds)[::2]
+        # each row's bounds, and its padding after the last one; the last
+        # row has no padding, and its bounds at the block's end start empty
+        # segments
+        at = (np.arange(j - i)[:, None] * width + bounds[rows]).ravel()
+        inside = at < (j - i) * width
+        block = np.zeros(at.size)
+        block[inside] = np.add.reduceat(terms.ravel(), at[inside])
+        sums[rows] = block.reshape(j - i, -1)
         i = j
-    out = np.empty(n.size)
+    sums = sums[:, :-1]
+    sums[np.diff(bounds, axis=1) == 0] = 0.0
+    out = np.empty(sums.shape)
     out[order] = sums
     return out
 
 
-def _one_side(f: JumpFunction, n, k0, gap, gap_before, angle: float, supplement: float):
-    """The one-side sum at off-node rows of a step (f.step_limits set).
+def _sweep_block(f: JumpFunction, i: int, n, k0, gap, gap_before, angle: float, supplement: float):
+    """The identity at off-node rows: orders n with node index k0 and gaps
+    D = gap and D' = gap_before at the angle of jump i (supplement =
+    pi - angle).  Returns (served, values): which rows it serves (see
+    sweep), and their values in row order.
 
-    The rows are orders n with node index k0 and gaps D = gap and
-    D' = gap_before at the angle (supplement = pi - angle).  Returns
-    (served, values): which rows the sum serves, and their values in row
-    order.  A row is served when f's domain holds [-1, 1] and nodes k0 and
-    k0 + 1 enclose both x0 and the stored location with more than
-    2*NODE_ATOL to spare.  Nodes 1..k0 (theta_k < theta0) then sample the
-    right limit and the others the left one, and the weights sum to 1 to
-    rounding, so the value is the other side's limit plus the difference of
-    the limits times the weights summed over the shorter side, or that limit
-    alone when the shorter side is empty.
+    Node k takes the level v_m = p(x0) + f.offsets[m], for the m locations
+    at or left of it: the values eval_many gives, not the declared limits.  From x0 outward, each
+    side's nodes fall into segments at the other jumps, with levels i+1,
+    i+2, ... on the side k <= k0 and i, i-1, ... on the other.  The weights
+    sum to 1, so the value is the level of the longer side's far segment
+    (v_0 or v_J) plus, over every other segment, its weight sum times its
+    level's difference from that one: all of the shorter side and the
+    longer side up to its farthest jump.  At one jump on a constant base
+    this is the one-side sum of a step, with its arithmetic:
+    other + (summed - other) * S.
     """
-    left, right = f.step_limits
-    # a domain holding [-1, 1] holds every node, so eval_many would not raise
-    if not (f.domain[0] <= -1.0 and 1.0 <= f.domain[1]):
-        return np.zeros(n.size, dtype=bool), np.empty(0)
-    served = _brackets(n, k0, math.cos(angle), f.jumps[0].x_float)
-    n, k0, gap, gap_before = n[served], k0[served], gap[served], gap_before[served]
-    right_side = 2 * k0 <= n
-    count = np.where(right_side, k0, n - k0)
-    summed = np.where(right_side, right, left)
-    values = np.where(right_side, left, right)
-    terms = np.flatnonzero(count > 0)
-    n, gap, gap_before, right_side = n[terms], gap[terms], gap_before[terms], right_side[terms]
-    weight_sums = _side_sums(
-        n,
-        np.where(right_side, gap_before, gap),
-        np.where(right_side, angle, supplement),
-        count[terms],
+    x0 = math.cos(angle)
+    served = (len(f.base.poly) - 1 < n) & _brackets(n, k0, x0, f.jumps[i].x_float)
+    counts, hits = {}, {}
+    for j, jump in enumerate(f.jumps):
+        if j != i:
+            counts[j], hits[j], clear = _other_jump(n, jump.x_float)
+            served &= clear
+    # a node that two jumps hit would take only one of their point values
+    for hit, other_hit in itertools.combinations(hits.values(), 2):
+        served &= (hit == 0) | (hit != other_hit)
+    rows = np.flatnonzero(served)
+    n, k0, gap, gap_before = n[rows], k0[rows], gap[rows], gap_before[rows]
+    jumps, levels = len(f.jumps), f.base(x0) + f.offsets
+    first = 2 * k0 <= n
+    # the sides k <= k0 and k > k0, from x0 outward: whether each is the
+    # shorter, its length, gap and reach, its cut at each other jump on it,
+    # and the levels of its segments
+    shorter = (first, ~first)
+    lengths, gaps = (k0, n - k0), (gap_before, gap)
+    reaches = (np.where(first, angle, -supplement), np.where(first, -angle, supplement))
+    jump_cuts = ([k0 - counts[j][rows] for j in range(i + 1, jumps)],
+                 [counts[j][rows] - k0 for j in range(i - 1, -1, -1)])
+    side_levels = (levels[i + 1:], levels[i::-1])
+    width = max(jumps - i, i + 1)
+    cuts = np.vstack([
+        np.column_stack(c + [np.where(short, length, c[-1] if c else 0)] * (width - len(c)))
+        for short, length, c in zip(shorter, lengths, jump_cuts)
+    ])
+    segments = np.zeros(cuts.shape)
+    live = np.flatnonzero(cuts[:, -1] > 0)
+    segments[live] = _side_sums(
+        np.concatenate((n, n))[live], np.concatenate(gaps)[live],
+        np.concatenate(reaches)[live], cuts[live],
     )
     # on either side, ell_k = sin(n min(D, D'))/(2n) times the j-th term of
     # _side_sums: (-1)^(k-1) cos(n theta0) = (-1)^(k0+k-1) sin(n min(D, D'))
-    weight_sums *= np.sin(n * np.minimum(gap, gap_before)) / (2 * n)
-    values[terms] += (summed[terms] - values[terms]) * weight_sums
+    scale = np.sin(n * np.minimum(gap, gap_before)) / (2 * n)
+    segments *= np.concatenate((scale, scale))[:, None]
+    far = np.where(first, levels[0], levels[-1])
+    steps = np.vstack([np.pad(lv, (0, width - lv.size)) - far[:, None] for lv in side_levels])
+    weighted = (steps * segments).sum(axis=1)
+    values = far + (weighted[:n.size] + weighted[n.size:])
+    # a node on another jump takes its point value: ell_k times that value
+    # less the value the segments gave the node
+    for j, hit in hits.items():
+        at = np.flatnonzero(hit[rows])
+        k, m = hit[rows][at], n[at]
+        side = 0 if j > i else 1
+        position = k0[at] - k if side == 0 else k - k0[at] - 1
+        weight = scale[at] * _side_terms(m, gaps[side][at], reaches[side][at], position)
+        node = np.cos((2 * k - 1) * math.pi / (2 * m))
+        given = f.base.eval_many(node) + f.offsets[np.where(k <= counts[j][rows][at], j + 1, j)]
+        values[at] += weight * (f.jumps[j].value - given)
     return served, values
 
 
@@ -379,54 +475,59 @@ def lagrange_at_jump(
     gives the weights from the jump's two node gaps, and they are summed
     one of two ways:
 
-      * one side, where f.step_limits is set: a one-order step_sweep, which
-        takes the shorter side's sum where _one_side serves the order;
+      * through the identity, where a one-order sweep serves the order;
       * general, for everything else: the full weight vector against f at
         every node.
 
-    The limits are the values f takes at the nodes (step_limits), not the
-    declared ones.  Where the one-side sum applies, the general sum makes
-    the same node decisions and agrees to rounding.
+    Where the identity applies, the general sum makes the same node
+    decisions and agrees to rounding.
     """
     jump = f.jumps[jump_index]
     if ratio is None:
         ratio = math.acos(jump.x_float) / math.pi
-    if f.step_limits is not None:
-        return float(step_sweep(f, ratio, [grid.n])[0])
+    if _polynomial_base(f):
+        served, values = sweep(f, jump_index, ratio, [grid.n])
+        if served[0]:
+            return float(values[0])
     is_node, k0, gap, gap_before, angle, supplement = _location(ratio, grid.n)
     if is_node:
         return jump.value
     return _general_sum(grid, f, k0, gap, gap_before, angle, supplement)
 
 
-def step_sweep(f: JumpFunction, ratio, n_values) -> np.ndarray:
-    """L_n f at the jump of a single-jump constant-base f, for many n.
+def _polynomial_base(f: JumpFunction) -> bool:
+    """Whether sweep can serve any off-node order of f: L_n reproduces only
+    polynomials, and eval_many would raise on a node outside the domain."""
+    return not f.base.trig and f.domain[0] <= -1.0 and 1.0 <= f.domain[1]
+
+
+def sweep(f: JumpFunction, jump_index: int, ratio, n_values):
+    """L_n f at jump jump_index of f, for many n, through the identity.
 
     ratio is the jump's location theta0/pi, a Fraction p/q or a float;
     n_values holds the grid orders n >= 1, a range or any other sequence of
-    ints.  The result has one value per order, in the same order: the point
-    value at a node, the one-side sum over the shorter side, batched over
-    _ROWS off-node orders at a time, where _one_side serves the order, and the
-    general sum, one order at a time, at the rest.  lagrange_at_jump gives
-    the same value at each order.
+    ints.  Returns (served, values), one entry per order in the same order:
+    the point value at a node, and the identity, batched over _ROWS
+    off-node orders at a time, where its gates pass (module docstring).
+    The values of the other orders are nan; lagrange_at_jump takes the
+    general sum there, and gives the same value as the sweep at a served
+    order.
     """
-    if f.step_limits is None:
-        raise ValueError("step_sweep requires exactly one jump on a constant continuous part")
+    jump = f.jumps[jump_index]
     n = n_array(n_values)
     if n.size and n.min() < 1:
         raise ValueError("grid order must be >= 1")
     is_node, k0, gap, gap_before, angle, supplement = _location(ratio, n)
-    out = np.full(n.size, f.jumps[0].value)
+    served = is_node.copy()
+    values = np.where(is_node, jump.value, np.nan)
+    if not _polynomial_base(f):
+        return served, values
     live = np.flatnonzero(~is_node)
     for start in range(0, live.size, _ROWS):
         rows = live[start:start + _ROWS]
-        served, values = _one_side(
-            f, n[rows], k0[rows], gap[rows], gap_before[rows], angle, supplement
+        ok, block = _sweep_block(
+            f, jump_index, n[rows], k0[rows], gap[rows], gap_before[rows], angle, supplement
         )
-        out[rows[served]] = values
-        for row in rows[~served].tolist():
-            out[row] = _general_sum(
-                ChebyshevGrid(int(n[row])), f, int(k0[row]), gap[row], gap_before[row],
-                angle, supplement,
-            )
-    return out
+        served[rows[ok]] = True
+        values[rows[ok]] = block
+    return served, values

@@ -202,6 +202,12 @@ class JumpFunction:
         c = self.base.poly[0] if self.base.poly else 0.0
         return float(c + self._offsets[0]), float(c + self._offsets[1])
 
+    @property
+    def offsets(self) -> np.ndarray:
+        """offsets[m], m = 0..len(jumps): what eval_many adds to the base
+        right of the first m locations (and left of the next one)."""
+        return self._offsets.copy()
+
     def _check_domain(self, xs):
         lo, hi = self.domain
         if xs.size and (xs.min() < lo - 1e-12 or xs.max() > hi + 1e-12):

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from jumpspectra import harness
 from jumpspectra.cli import main
 from jumpspectra.harness import (
     ConfigError,
@@ -29,6 +30,19 @@ def lagrange_cfg(**kw):
     base = dict(operator="lagrange", location=Fraction(1, 2), n_max=64, d=0.3)
     base.update(kw)
     return ExperimentConfig(**base)
+
+
+def _two_jump_cfg(location, **kw):
+    """Acceptance criterion 7's function, x^2 with jumps at x = 0 and
+    x1 = cos(pi*ratio), at the jump x1; at ratio 1/2, at the jump 0, with
+    x1 = cos(pi/3)."""
+    ratio = location if isinstance(location, Fraction) else location.approx
+    at_zero = ratio == Fraction(1, 2)
+    x1 = 0.5 if at_zero else math.cos(math.pi * float(ratio))
+    steps = [(0.0, 1.0, 0.3), (x1, -0.5, 0.6)]
+    f = from_steps(ContinuousPart((0.0, 0.0, 1.0)), steps, (-1.0, 1.0))
+    jump_index = [j.x_float for j in f.jumps].index(0.0 if at_zero else x1)
+    return lagrange_cfg(location=location, fn=f, jump_index=jump_index, **kw)
 
 
 def shepard_cfg(**kw):
@@ -67,6 +81,39 @@ class TestRunSequence:
         ratio = cfg.location_ratio()
         expected = [lagrange_at_jump(ChebyshevGrid(n), f, i, ratio) for n in cfg.ns()]
         assert run_sequence(cfg).values.tolist() == expected
+
+    @pytest.mark.parametrize("location", [
+        Fraction(1, 3), Fraction(1, 2), Irrational(math.sqrt(2) - 1),
+    ])
+    def test_lagrange_sweep_matches_per_n_on_two_jumps(self, location):
+        cfg = _two_jump_cfg(location, n_max=700, stride=3)
+        f, i = cfg.resolved_fn()
+        ratio = cfg.location_ratio()
+        expected = [lagrange_at_jump(ChebyshevGrid(n), f, i, ratio) for n in cfg.ns()]
+        assert run_sequence(cfg).values.tolist() == expected
+
+    @pytest.mark.parametrize("location, unserved", [
+        (Fraction(1, 3), [1, 2]), (Fraction(1, 2), [2]),
+    ])
+    def test_lagrange_per_n_calls_only_where_the_sweep_does_not_serve(
+        self, location, unserved, monkeypatch
+    ):
+        # the x^2 base is reproduced from n = 3 on; at theta0/pi = 1/2,
+        # n = 1 is a node
+        grids, at_jump = [], []
+
+        def grid(n):
+            grids.append(n)
+            return ChebyshevGrid(n)
+
+        def per_n(g, *args):
+            at_jump.append(g.n)
+            return lagrange_at_jump(g, *args)
+
+        monkeypatch.setattr(harness, "ChebyshevGrid", grid)
+        monkeypatch.setattr(harness, "lagrange_at_jump", per_n)
+        run_sequence(_two_jump_cfg(location, n_max=300))
+        assert grids == at_jump == unserved
 
     def test_user_descriptor(self, tmp_path):
         f = from_steps(ContinuousPart((0.0,)), [(0.5, 1.0, 0.25)], (0.0, 1.0))

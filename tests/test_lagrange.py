@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 from unittest import mock
@@ -10,18 +11,19 @@ from hypothesis import strategies as st
 from jumpspectra.lagrange import (
     ChebyshevGrid,
     _brackets,
+    _coincident_node,
     _general_sum as _library_general_sum,
     _location,
-    _one_side,
     _weights,
     fundamental_eval,
     fundamental_product_reference,
     fundamental_weights,
     lagrange_at_jump,
     lagrange_eval,
-    step_sweep,
+    sweep,
 )
 from jumpspectra.piecewise import (
+    NODE_ATOL,
     ContinuousPart,
     JumpFunction,
     from_descriptor_dict,
@@ -37,17 +39,19 @@ CONST_ONE = JumpFunction(ContinuousPart((1.0,)), (), (-1.0, 1.0))
 CUBE = JumpFunction(ContinuousPart((0.0, 0.0, 0.0, 1.0)), (), (-1.0, 1.0))
 
 
-def _two_jump_at(ratio: Fraction):
+def _two_jump_at(ratio: Fraction, trig=()):
     """Acceptance criterion 7's x^2-base function with a jump at cos(pi*ratio).
 
     Its jumps sit at 0 = cos(pi/2) and cos(pi/3); for ratio != 1/2 the
-    second one moves to cos(pi*ratio).  Returns the function and the index
-    of the jump at the location.
+    second one moves to cos(pi*ratio).  trig adds a cosine/sine series to
+    the base.  Returns the function and the index of the jump at the
+    location.
     """
     x0 = math.cos(math.pi * ratio.numerator / ratio.denominator)
     at_zero = ratio == Fraction(1, 2)
     x1 = math.cos(math.pi / 3) if at_zero else x0
-    f = from_steps(ContinuousPart((0.0, 0.0, 1.0)), [(0.0, 1.0, 0.3), (x1, -0.5, 0.6)], (-1.0, 1.0))
+    base = ContinuousPart((0.0, 0.0, 1.0), trig)
+    f = from_steps(base, [(0.0, 1.0, 0.3), (x1, -0.5, 0.6)], (-1.0, 1.0))
     return f, [j.x_float for j in f.jumps].index(0.0 if at_zero else x0)
 
 
@@ -424,8 +428,14 @@ class TestOneSideSum:
             assert value == pytest.approx(_general_sum(grid, f, ratio), abs=1e-10)
 
     def test_general_functions_take_the_general_path(self):
-        f, i = _two_jump_at(Fraction(1, 3))
-        assert _at_jump(ChebyshevGrid(50), f, Fraction(1, 3), i)[1]
+        # the identity serves a polynomial base only above its degree, and
+        # no trig base: those orders evaluate f at the nodes
+        ratio = Fraction(1, 3)
+        f, i = _two_jump_at(ratio)
+        assert not _at_jump(ChebyshevGrid(50), f, ratio, i)[1]
+        assert _at_jump(ChebyshevGrid(2), f, ratio, i)[1]
+        wave, i = _two_jump_at(ratio, trig=((3.0, 0.5, 0.0),))
+        assert _at_jump(ChebyshevGrid(50), wave, ratio, i)[1]
 
     def test_domain_short_of_the_grid_still_raises(self):
         # the nodes reach past the domain, so the general path's eval_many raises
@@ -436,7 +446,7 @@ class TestOneSideSum:
 
 @st.composite
 def _sweep_cases(draw):
-    """(f, ratio, n_values) for step_sweep: a step at an exact ratio
+    """(f, ratio, n_values) for sweep at a step: a step at an exact ratio
     theta0/pi = p/q (q up to 10^6, or past 2**51 so that 4nq > 2**53), at a
     float ratio, at a float ratio just past a node whose jump sits just
     before it, or at a float ratio where t_n = n*ratio + 1/2 sits 1 to 4
@@ -493,32 +503,28 @@ def _sweep_cases(draw):
 
 
 class TestStepSweep:
-    """step_sweep against lagrange_at_jump, one order at a time, and against
-    the full weight sums."""
+    """sweep at a step (one jump on a constant base) against
+    lagrange_at_jump, one order at a time, and against the full weight
+    sums."""
 
     @settings(max_examples=100, deadline=None)
     @given(case=_sweep_cases())
     def test_matches_per_n_evaluation(self, case):
         f, ratio, n_values = case
-        values = step_sweep(f, ratio, n_values)
-        assert values.shape == (len(n_values),)
+        served, values = sweep(f, 0, ratio, n_values)
+        assert values.shape == served.shape == (len(n_values),)
         ns = np.asarray(list(n_values))
         is_node, k0, gap, gap_before, angle, supplement = _location(ratio, ns)
         # every off-node row lies strictly between two node angles
         assert np.all(gap[~is_node] > 0) and np.all(gap_before[~is_node] > 0)
-        assert np.all(np.isfinite(values))
-        off = ~is_node
-        served = np.zeros(ns.size, dtype=bool)
-        served[off] = _one_side(
-            f, ns[off], k0[off], gap[off], gap_before[off], angle, supplement
-        )[0]
+        assert np.all(np.isfinite(values[served])) and np.all(np.isnan(values[~served]))
         left, right = f.step_limits
         for n, value, node, one_side in zip(ns.tolist(), values, is_node, served):
             grid = ChebyshevGrid(n)
-            assert value == lagrange_at_jump(grid, f, 0, ratio)
             if node:
-                assert value == f.jumps[0].value
+                assert one_side and value == f.jumps[0].value
             elif one_side:
+                assert value == lagrange_at_jump(grid, f, 0, ratio)
                 # the general sum is other * sum(w) + (summed - other) * the
                 # summed side's weights, and the one-side sum puts 1 for
                 # sum(w): they differ by the limit not summed times
@@ -528,7 +534,7 @@ class TestStepSweep:
                        + 16 * np.finfo(float).eps * abs(right - left) * np.abs(weights).sum())
                 assert value == pytest.approx(_general_sum(grid, f, ratio), abs=tol)
             else:
-                assert value == _general_sum(grid, f, ratio)
+                assert lagrange_at_jump(grid, f, 0, ratio) == _general_sum(grid, f, ratio)
 
     def test_takes_the_general_path_only_where_the_bracket_fails(self):
         # the jump of a descriptor sits 1e-10 (in theta/pi) before node
@@ -539,9 +545,11 @@ class TestStepSweep:
         with mock.patch.object(
             JumpFunction, "eval_many", autospec=True, side_effect=JumpFunction.eval_many
         ) as spy:
-            values = step_sweep(f, ratio, range(38, 43))
-        assert [call.args[1].size for call in spy.call_args_list] == [n]
-        assert values[2] == _general_sum(ChebyshevGrid(n), f, ratio)
+            served, _ = sweep(f, 0, ratio, range(38, 43))
+        assert not spy.called
+        assert served.tolist() == [True, True, False, True, True]
+        grid = ChebyshevGrid(n)
+        assert _at_jump(grid, f, ratio) == (_general_sum(grid, f, ratio), True)
 
     def test_large_denominators_take_the_one_side_sum(self):
         # 4nq passes 2**53 at n = 128; the gaps come from node_offsets'
@@ -549,11 +557,8 @@ class TestStepSweep:
         # the nodes
         ratio = Fraction(5864062014805, 2**44 + 1)
         f = _step(math.cos(math.pi * ratio.numerator / ratio.denominator), (-0.75, 2.5), 0.3)
-        with mock.patch.object(
-            JumpFunction, "eval_many", autospec=True, side_effect=JumpFunction.eval_many
-        ) as spy:
-            values = step_sweep(f, ratio, [127, 128])
-        assert not spy.called
+        served, values = sweep(f, 0, ratio, [127, 128])
+        assert served.all()
         for n, value in zip((127, 128), values):
             assert value == pytest.approx(_general_sum(ChebyshevGrid(n), f, ratio), abs=1e-14)
 
@@ -565,13 +570,17 @@ class TestStepSweep:
 
     def test_empty_orders(self):
         f = _step(0.5, (0.0, 1.0), 0.3)
-        assert step_sweep(f, Fraction(1, 3), range(1, 1)).size == 0
+        served, values = sweep(f, 0, Fraction(1, 3), range(1, 1))
+        assert served.size == values.size == 0
 
     def test_validation(self):
+        f = _step(0.5, (0.0, 1.0), 0.3)
         with pytest.raises(ValueError):
-            step_sweep(_two_jump_at(Fraction(1, 3))[0], Fraction(1, 3), range(1, 10))
+            sweep(f, 0, Fraction(1, 3), [0, 1])
         with pytest.raises(ValueError):
-            step_sweep(_step(0.5, (0.0, 1.0), 0.3), Fraction(1, 3), [0, 1])
+            sweep(f, 0, Fraction(4, 3), [1, 2])
+        with pytest.raises(IndexError):
+            sweep(f, 1, Fraction(1, 3), [1, 2])
 
     @pytest.mark.parametrize("ratio, ns", [
         (Fraction(1, 3), [100, 1000, 2999]),
@@ -594,18 +603,135 @@ class TestStepSweep:
     def test_error_against_a_40_digit_sum(self, ratio, ns):
         mpmath = pytest.importorskip("mpmath")
         f = _step(math.cos(_location(ratio, 1)[4]), (0.0, 1.0), 0.3)
-        for n, value in zip(ns, step_sweep(f, ratio, ns)):
+        served, values = sweep(f, 0, ratio, ns)
+        assert served.all()
+        for n, value in zip(ns, values):
             assert abs(value - _exact_sum(mpmath, ratio, ChebyshevGrid(n), f)) < 1e-15
 
     def test_general_path_error_against_a_40_digit_sum(self):
-        # near theta0/pi = 1, where a_k nears pi
+        # near theta0/pi = 1, where a_k nears pi; the trig term keeps the
+        # general path
         mpmath = pytest.importorskip("mpmath")
         ratio = Fraction(229539, 229559)
-        f, i = _two_jump_at(ratio)
+        f, i = _two_jump_at(ratio, trig=((3.0, 0.5, 0.0),))
         grid = ChebyshevGrid(300)
         value, evaluated_f = _at_jump(grid, f, ratio, i)
         assert evaluated_f
         assert abs(value - _exact_sum(mpmath, ratio, grid, f)) < 1e-15
+
+
+@st.composite
+def _polynomial_cases(draw):
+    """(f, jump_index, ratio, n_values, unserved) for sweep: a polynomial
+    base of degree 0-4 with 1-3 jumps, located at an exact or a float ratio;
+    or criterion 7's pair, a jump at theta0/pi = p/3 with a second one at
+    x = 0, a node of every odd order; or a second jump between NODE_ATOL/2
+    and 2*NODE_ATOL of a node; or a trig base.  unserved(n) says whether
+    sweep must leave an off-node order n to the general path."""
+    kind = draw(st.sampled_from(["exact", "float", "node hit", "near a node", "trig"]))
+    degree = draw(st.integers(0, 4))
+    poly = tuple(draw(st.floats(-2.0, 2.0)) for _ in range(degree + 1))
+    trig = ((draw(st.floats(0.5, 5.0)), 0.5, 0.25),) if kind == "trig" else ()
+    n_values = draw(st.lists(st.integers(1, 1200), min_size=1, max_size=8))
+    n_values += list(range(1, degree + 1))
+    if kind == "node hit":
+        ratio, others = Fraction(draw(st.sampled_from([1, 2])), 3), [0.0]
+        n_values += [2 * draw(st.integers(degree // 2, 600)) + 1]
+    else:
+        q = draw(st.integers(2, 40))
+        p = draw(st.integers(1, q - 1))
+        assume(math.gcd(p, q) == 1)
+        ratio = draw(st.floats(0.01, 0.99)) if kind == "float" else Fraction(p, q)
+        others = [
+            math.cos(math.pi * draw(st.floats(0.01, 0.99)))
+            for _ in range(draw(st.integers(0 if kind != "near a node" else 1, 2)))
+        ]
+    near = None
+    if kind == "near a node":
+        n0 = draw(st.integers(degree + 1, 1200))
+        k = draw(st.integers(1, n0))
+        delta = draw(st.floats(0.6 * NODE_ATOL, 1.9 * NODE_ATOL)) * draw(st.sampled_from([-1, 1]))
+        others[0] = math.cos((2 * k - 1) * math.pi / (2 * n0)) + delta
+        near, n_values = n0, n_values + [n0]
+    x0 = math.cos(math.pi * float(ratio))
+    locations = [x0] + others
+    assume(min(abs(a - b) for a, b in itertools.combinations(sorted(locations), 2)) > 1e-9
+           if len(locations) > 1 else True)
+    amounts = [draw(st.sampled_from([-1.5, -0.5, 0.25, 1.0, 2.0])) for _ in locations]
+    values = [draw(st.floats(-1.0, 1.0)) for _ in locations]
+    f = from_steps(ContinuousPart(poly, trig), list(zip(locations, amounts, values)), (-1.0, 1.0))
+    jump_index = [j.x_float for j in f.jumps].index(x0)
+
+    def unserved(n):
+        return n <= degree or kind == "trig" or n == near
+
+    return f, jump_index, ratio, n_values, unserved
+
+
+class TestSweep:
+    """sweep on a polynomial base with several jumps, against the general
+    sum one order at a time."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(case=_polynomial_cases())
+    def test_matches_the_general_sum(self, case):
+        f, i, ratio, n_values, unserved = case
+        served, values = sweep(f, i, ratio, n_values)
+        is_node, _, _, _, angle, _ = _location(ratio, np.array(n_values))
+        for n, value, node, swept in zip(n_values, values, is_node, served):
+            grid = ChebyshevGrid(n)
+            per_n = lagrange_at_jump(grid, f, i, ratio)
+            if node:
+                # the node decision is node_offsets', on both paths
+                assert swept and value == per_n == f.jumps[i].value
+            elif swept:
+                assert not unserved(n)
+                assert value == per_n
+                assert _coincident_node(grid, math.cos(angle), angle) is None
+                tol = 1e-14 * (1 + np.abs(f.eval_many(grid.nodes)).max())
+                assert abs(value - _general_sum(grid, f, ratio)) <= tol
+            else:
+                assert np.isnan(value)
+                assert per_n == _general_sum(grid, f, ratio)
+
+    def test_odd_orders_hit_the_other_jump(self):
+        # at theta0/pi = 1/3 every odd n has a node at the jump x = 0, which
+        # takes that jump's point value
+        ratio = Fraction(1, 3)
+        f, i = _two_jump_at(ratio)
+        ns = range(3, 400, 2)
+        served, values = sweep(f, i, ratio, ns)
+        assert served.all()
+        for n, value in zip(ns, values):
+            grid = ChebyshevGrid(n)
+            assert f.eval_many(grid.nodes)[(n - 1) // 2] == 0.3
+            tol = 1e-14 * (1 + np.abs(f.eval_many(grid.nodes)).max())
+            assert abs(value - _general_sum(grid, f, ratio)) <= tol
+
+    def test_a_node_on_two_jumps_takes_the_general_path(self):
+        # jumps at 0 and cos(pi/2) = 6e-17: the middle node of an odd order
+        # is within NODE_ATOL of both and takes the later one's point value
+        ratio = Fraction(1, 3)
+        steps = [(0.0, 1.0, 0.3), (math.cos(math.pi / 2), 0.5, 0.9), (0.5, -0.5, 0.6)]
+        f = from_steps(ContinuousPart((0.0, 1.0)), steps, (-1.0, 1.0))
+        ns = [9, 10, 11]
+        served, _ = sweep(f, 2, ratio, ns)
+        assert served.tolist() == [False, True, False]
+        grid = ChebyshevGrid(9)
+        assert f.eval_many(grid.nodes)[4] == 0.9
+        assert _at_jump(grid, f, ratio, 2) == (_general_sum(grid, f, ratio), True)
+
+    @pytest.mark.parametrize("ratio, ns", [
+        (Fraction(1, 3), [100, 1001, 2999, 3000]),
+        (Fraction(229539, 229559), [300, 2999, 3000]),
+    ])
+    def test_error_against_a_40_digit_sum(self, ratio, ns):
+        mpmath = pytest.importorskip("mpmath")
+        f, i = _two_jump_at(ratio)
+        served, values = sweep(f, i, ratio, ns)
+        assert served.all()
+        for n, value in zip(ns, values):
+            assert abs(value - _exact_sum(mpmath, ratio, ChebyshevGrid(n), f)) < 1e-14
 
 
 def _exact_sum(mpmath, ratio, grid, f):
