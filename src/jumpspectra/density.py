@@ -30,11 +30,17 @@ single ratio:
     decreasing, x_n > M with M increasing, closed inflated intervals with
     eps decreasing, each exact in floating point since rounding is
     monotone), so a set with as many members as the previous, larger one
-    is that set; its ratio is reused and the prefix is scanned once per
-    distinct set, not once per eps;
-  * the running counts are summed over the tail window only, seeded with
-    the number of members before it; the integer counts, hence the
-    quotients, are the ones a cumulative sum over the whole prefix gives.
+    is that set; a first pass over the prefix counts every set's members,
+    in all and ahead of the tail window, the ratio of a repeated set is
+    reused, and the window is scanned once per distinct set, not once per
+    eps;
+  * that scan sums the running counts over the tail window only, seeded
+    with the count ahead of it and carried from one block of
+    piecewise.CHUNK values to the next, so no prefix-long temporary is
+    built; the integer counts, hence the quotients, are the ones a
+    cumulative sum over the whole prefix gives.  lower_density,
+    upper_density and complement_identity_check are the one-set case of
+    the same scan.
 
 All functions are pure; callers may evaluate different prefixes in
 parallel.
@@ -43,10 +49,13 @@ parallel.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+
+from .piecewise import blocks
 
 #: default eps grid 2^-1 .. 2^-14 (geometric, coarse to fine)
 DEFAULT_EPS_GRID: tuple[float, ...] = tuple(2.0**-j for j in range(1, 15))
@@ -154,43 +163,64 @@ class ClusterReport:
     unassigned_fraction: float
 
 
-def _window_extents(membership, window: float):
-    """Counts |K n {1..n}| and the n of the tail window n in [ceil(N*window), N]."""
+def _window_start(n_total: int, window: float) -> int:
+    """The first n of the tail window n in [ceil(N*window), N]."""
     if not 0.0 <= window <= 1.0:  # also refuses NaN
         raise ValueError(f"window must be in [0, 1], got {window}")
-    member = np.asarray(membership, dtype=bool)
-    n_total = member.size
     if n_total == 0:
         raise ValueError("empty prefix")
-    start = max(1, math.ceil(n_total * window))
-    counts = np.cumsum(member[start - 1 :])
-    counts += np.count_nonzero(member[: start - 1])
-    ns = np.arange(start, n_total + 1)
-    return counts, ns
+    return max(1, math.ceil(n_total * window))
+
+
+def _window_scan(values, member, window: float, before=None, lowest=True):
+    """(ratio, count, n) at the first lowest (or highest) running ratio.
+
+    The ratios are count/n = |K n {1..n}|/n over the tail window n in
+    [ceil(N*window), N], for K = {n : x_n in the set}, where member maps a
+    block of values to their membership.  before is |K n {1..n}| just ahead
+    of the window, counted here when the caller does not pass it.  The
+    values are read one block of CHUNK at a time, with the count carried
+    from block to block, so the integer counts, hence the ratios, are the
+    ones a cumulative sum over the whole prefix gives.
+    """
+    start = _window_start(values.size, window)
+    if before is None:
+        before = sum(
+            int(np.count_nonzero(member(values[lo:hi]))) for lo, hi in blocks(0, start - 1)
+        )
+    pick, beats = (np.argmin, operator.lt) if lowest else (np.argmax, operator.gt)
+    best = None
+    for lo, hi in blocks(start - 1, values.size):
+        counts = np.cumsum(member(values[lo:hi]))
+        counts += before
+        ratios = counts / np.arange(lo + 1, hi + 1)
+        i = int(pick(ratios))
+        if best is None or beats(ratios[i], best[0]):
+            best = float(ratios[i]), int(counts[i]), lo + 1 + i
+        before = int(counts[-1])
+    return best
+
+
+def _as_is(block):
+    return block
 
 
 def lower_density(membership, window: float = 0.5) -> float:
     """min of |K n {1..n}|/n over the tail window n in [ceil(N*window), N]."""
-    counts, ns = _window_extents(membership, window)
-    return float(np.min(counts / ns))
+    return _window_scan(np.asarray(membership, dtype=bool), _as_is, window)[0]
 
 
 def upper_density(membership, window: float = 0.5) -> float:
     """max of the prefix ratios over the same tail window."""
-    counts, ns = _window_extents(membership, window)
-    return float(np.max(counts / ns))
+    return _window_scan(np.asarray(membership, dtype=bool), _as_is, window, lowest=False)[0]
 
 
 def complement_identity_check(membership, window: float = 0.5) -> bool:
     """Exact check of lower(K) = 1 - upper(K^c) in rational arithmetic."""
     member = np.asarray(membership, dtype=bool)
-    counts, ns = _window_extents(member, window)
-    i_min = int(np.argmin(counts / ns))
-    lo = Fraction(int(counts[i_min]), int(ns[i_min]))
-    comp_counts, comp_ns = _window_extents(~member, window)
-    i_max = int(np.argmax(comp_counts / comp_ns))
-    hi_c = Fraction(int(comp_counts[i_max]), int(comp_ns[i_max]))
-    return lo == 1 - hi_c
+    _, count, n = _window_scan(member, _as_is, window)
+    _, comp_count, comp_n = _window_scan(member, np.logical_not, window, lowest=False)
+    return Fraction(count, n) == 1 - Fraction(comp_count, comp_n)
 
 
 def _plateau_estimate(ratios, tol: float) -> float:
@@ -220,19 +250,34 @@ def _plateau_estimate(ratios, tol: float) -> float:
     return ratios[k]
 
 
-def _nested_ratios(memberships, window: float) -> list[float]:
+def _nested_ratios(values, key, members, window: float) -> list[float]:
     """lower_density of each of a sequence of nested sets, largest first.
 
-    A set with as many members as the previous one, which contains it, is
-    the same set, so its ratio is reused instead of scanning the prefix.
+    Set j holds the n with members[j](key(x_n)).  A first pass counts each
+    set's members, in all and ahead of the tail window.  A set with as many
+    members as the previous one, which contains it, is the same set, so its
+    ratio is reused; each distinct set gets one _window_scan, seeded with
+    its count ahead of the window.
     """
+    head = _window_start(values.size, window) - 1
+    totals = [0] * len(members)
+    before = [0] * len(members)
+    for lo, hi in blocks(0, values.size):
+        keys = key(values[lo:hi])
+        for j, member in enumerate(members):
+            inside = member(keys)
+            count = int(np.count_nonzero(inside))
+            totals[j] += count
+            if hi <= head:
+                before[j] += count
+            elif lo < head:
+                before[j] += int(np.count_nonzero(inside[: head - lo]))
     ratios = []
-    previous = None
-    for member in memberships:
-        count = np.count_nonzero(member)
-        if count != previous:
-            ratio = lower_density(member, window)
-            previous = count
+    for j, member in enumerate(members):
+        if j == 0 or totals[j] != totals[j - 1]:
+            ratio = _window_scan(
+                values, lambda block, member=member: member(key(block)), window, before[j]
+            )[0]
         ratios.append(ratio)
     return ratios
 
@@ -267,16 +312,25 @@ def empirical_index(
     values = prefix.values
     if math.isinf(target):
         sign = 1.0 if target > 0 else -1.0
-        signed = sign * values
-        extreme = float(np.max(signed))
+        # max(-x) is -min(x) exactly
+        extreme = float(np.max(values)) if sign > 0 else -float(np.min(values))
         # with no M below the extreme, the first M's set is empty: ratio 0
         ms = [m for m in DEFAULT_M_GRID if m < extreme] or [DEFAULT_M_GRID[0]]
-        ratios = _nested_ratios((signed > m for m in ms), window)
+        ratios = _nested_ratios(
+            values,
+            lambda block: sign * block,
+            [lambda signed, m=m: signed > m for m in ms],
+            window,
+        )
         profile = tuple((1.0 / m, r) for m, r in zip(ms, ratios))
         return IndexEstimate(target, profile, _plateau_estimate(ratios, stability_tol))
     grid = _validate_grid(eps_grid)
-    dist = np.abs(values - target)
-    ratios = _nested_ratios((dist < eps for eps in grid), window)
+    ratios = _nested_ratios(
+        values,
+        lambda block: np.abs(block - target),
+        [lambda dist, eps=eps: dist < eps for eps in grid],
+        window,
+    )
     profile = tuple(zip(grid, ratios))
     return IndexEstimate(target, profile, _plateau_estimate(ratios, stability_tol))
 
@@ -291,7 +345,7 @@ def set_index(
     """Convergence index of the prefix relative to an interval union."""
     grid = _validate_grid(eps_grid)
     ratios = _nested_ratios(
-        (targets.inflate(eps).contains(prefix.values) for eps in grid), window
+        prefix.values, _as_is, [targets.inflate(eps).contains for eps in grid], window
     )
     profile = tuple(zip(grid, ratios))
     return IndexEstimate(targets, profile, _plateau_estimate(ratios, stability_tol))
@@ -331,8 +385,13 @@ def detect_clusters(
     if not 0 < tail_fraction <= 1:
         raise ValueError("tail_fraction must be in (0, 1]")
     tail = np.sort(tail_values(prefix.values, tail_fraction))
-    cuts = np.nonzero(np.diff(tail) > gap)[0]
-    groups = np.split(tail, cuts + 1)
+    # the gaps tail[i+1] - tail[i] one block of i at a time, each block
+    # reading one value past its end, so no N-long difference is held
+    cuts = [
+        np.flatnonzero(tail[lo + 1 : hi + 1] - tail[lo:hi] > gap) + (lo + 1)
+        for lo, hi in blocks(0, tail.size - 1)
+    ]
+    groups = np.split(tail, np.concatenate(cuts or [np.empty(0, dtype=int)]))
     centers = [float(np.mean(g)) for g in groups]
     grid = _validate_grid(eps_grid)
     clusters = []

@@ -45,7 +45,7 @@ from .density import (
 )
 from .lagrange import ChebyshevGrid, lagrange_at_jump
 from .lagrange import sweep as lagrange_sweep
-from .piecewise import JumpFunction, n_array, node_offsets, pure_step
+from .piecewise import JumpFunction, blocks, n_array, node_offsets, pure_step
 from .shepard import ShepardConfig, shepard_at_jump, step_sweep
 from .specfun import SHEPARD_S_MAX, SHEPARD_S_MIN
 from .theory import (
@@ -399,9 +399,10 @@ def compare(cfg: ExperimentConfig) -> ComparisonReport:
 # output
 # ---------------------------------------------------------------------------
 
-def _run_columns(cfg: ExperimentConfig, prefix: SequencePrefix) -> dict[str, list]:
-    """The run's columns by name: n, the node offset, is_node and value."""
-    ns = n_array(cfg.ns())
+def _run_columns(cfg: ExperimentConfig, ns: range, values) -> dict[str, list]:
+    """The columns by name, for the orders ns of the run and their values:
+    n, the node offset, is_node and value."""
+    ns = n_array(ns)
     ratio = cfg.location_ratio()
     _, num, den, is_node = node_offsets(ratio, ns, 0.5 if cfg.operator == LAGRANGE else 0)
     if isinstance(ratio, Fraction):
@@ -409,22 +410,30 @@ def _run_columns(cfg: ExperimentConfig, prefix: SequencePrefix) -> dict[str, lis
         sigma = {"sigma_num": num // g, "sigma_den": den // g}
     else:
         sigma = {"sigma_float": num}
-    columns = {"n": ns, **sigma, "is_node": is_node.astype(int), "value": prefix.values}
+    columns = {"n": ns, **sigma, "is_node": is_node.astype(int), "value": values}
     return {name: column.tolist() for name, column in columns.items()}
 
 
 def run_rows(cfg: ExperimentConfig, prefix: SequencePrefix) -> list[dict]:
-    """One row per n: the node offset, the node decision and the value."""
-    columns = _run_columns(cfg, prefix)
+    """One row per n: the node offset, the node decision and the value.
+
+    The rows of the whole run are held at once, as write_run_json needs
+    them; write_run_csv builds its rows CHUNK orders at a time instead.
+    """
+    columns = _run_columns(cfg, cfg.ns(), prefix.values)
     return [dict(zip(columns, row)) for row in zip(*columns.values())]
 
 
 def write_run_csv(cfg: ExperimentConfig, prefix: SequencePrefix, path) -> None:
-    columns = _run_columns(cfg, prefix)
+    """The rows of run_rows as CSV, built and written CHUNK orders at a time."""
+    ns = cfg.ns()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(columns)
-        writer.writerows(zip(*columns.values()))
+        for lo, hi in blocks(0, len(ns)):
+            columns = _run_columns(cfg, ns[lo:hi], prefix.values[lo:hi])
+            if lo == 0:
+                writer.writerow(columns)
+            writer.writerows(zip(*columns.values()))
 
 
 def write_run_json(cfg: ExperimentConfig, prefix: SequencePrefix, path) -> None:

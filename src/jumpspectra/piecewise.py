@@ -51,6 +51,11 @@ NODE_ATOL = 1e-13
 OFFSET_TOL = 1e-12
 _INT64_MAX = np.iinfo(np.int64).max
 
+#: length of the blocks that the long-prefix paths (shepard.step_sweep, the
+#: density scans, the CSV export) work in, so that their temporaries follow
+#: the block and not the number of orders
+CHUNK = 1 << 16
+
 LEFT0_RIGHT1 = "left0_right1"
 LEFT1_RIGHT0 = "left1_right0"
 
@@ -66,6 +71,11 @@ def n_array(n_values) -> np.ndarray:
     if isinstance(n_values, range):
         return np.arange(n_values.start, n_values.stop, n_values.step, dtype=int)
     return np.asarray(n_values, dtype=int)
+
+
+def blocks(start: int, stop: int):
+    """(lo, hi) of the consecutive CHUNK-long blocks covering [start, stop)."""
+    return ((lo, min(lo + CHUNK, stop)) for lo in range(start, stop, CHUNK))
 
 
 def node_offsets(ratio, n, shift):

@@ -30,11 +30,12 @@ s; the rearrangement is equality-tested against shepard_eval.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from scipy.special import digamma, zeta
 
-from .piecewise import JumpFunction, n_array, node_offsets
+from .piecewise import CHUNK, JumpFunction, blocks, n_array, node_offsets
 from .specfun import SHEPARD_S_MAX, SHEPARD_S_MIN
 
 
@@ -90,17 +91,11 @@ def shepard_at_jump(cfg: ShepardConfig, f: JumpFunction, jump_index: int, x0=Non
     return _offset_sum(cfg, f, k0, num, den)
 
 
-def _sweep_sums(sigma: np.ndarray, k0: np.ndarray, n: np.ndarray, s: float):
-    """Partial weight sums A, B of the step rearrangement for each n."""
+def _tail(s: float):
+    """H with sum_{m=0}^{M-1} (c+m)^(-s) = H(c) - H(c+M)."""
     if s == 1.0:
-        def tail(c):
-            return -digamma(c)
-    else:
-        def tail(c):
-            return zeta(s, c)
-    a = tail(sigma) - tail(sigma + k0 + 1.0)
-    b = tail(1.0 - sigma) - tail(n - k0 + 1.0 - sigma)
-    return a, b
+        return lambda c: -digamma(c)
+    return lambda c: zeta(s, c)
 
 
 def step_sweep(f: JumpFunction, s: float, n_values) -> np.ndarray:
@@ -110,10 +105,17 @@ def step_sweep(f: JumpFunction, s: float, n_values) -> np.ndarray:
     steps qualify) and weights the limits f.step_limits gives, the values f
     takes at the nodes, so the values equal shepard_at_jump for each n.
 
-    n_values holds the grid orders n >= 1: a range, built into the sweep's
-    own array with np.arange, or any other sequence of ints (a list, an
-    integer array), read with np.asarray.  The result has one value per
-    order, in the same order.
+    n_values holds the grid orders n >= 1: a range or any other sliceable
+    sequence of ints (a list, an integer array).  The result has one value
+    per order, in the same order.  The orders are taken CHUNK at a time,
+    each block sliced from n_values and given its own node_offsets call, so
+    the sweep's temporaries follow the block and only the result follows
+    the number of orders.
+
+    On an exact location p/q with q no larger than the number of orders
+    and than CHUNK, sigma = r/q takes only q values, so the two head tails
+    H(sigma) and H(1 - sigma) come from one table per residue r; otherwise
+    each order takes its four tails.  Both routes give the same doubles.
 
     For s > 1 each tail zeta(s, c) carries the 1/(s-1) pole, which cancels
     in the difference, so the absolute error grows roughly as 4e-17/(s-1),
@@ -127,22 +129,29 @@ def step_sweep(f: JumpFunction, s: float, n_values) -> np.ndarray:
             f"s={s} outside supported box [{SHEPARD_S_MIN}, {SHEPARD_S_MAX}]"
         )
     jump = f.jumps[0]
-    n_arr = n_array(n_values)
-    k0, num, den, node = node_offsets(jump.x, n_arr, 0)
-    live = ~node
-    # rebinding frees the full-length arrays before the sums, which keeps
-    # the sweep's peak memory at n ~ 10^6 two arrays lower; asarray turns
-    # the Python-int quotients of a large p/q into doubles
-    num, k0, n_arr = (
-        np.asarray(num[live] / den, dtype=float),
-        k0[live].astype(float),
-        n_arr[live].astype(float),
-    )
-    a, b = _sweep_sums(num, k0, n_arr, float(s))
-    values = (limits[0] * a + limits[1] * b) / (a + b)
-    # allocated last, out sits above the freed temporaries, so the heap keeps
-    # them for the caller's next arrays; allocated first, it let the heap
-    # return them and cost compare about 4e4 page faults at n = 10^6
-    out = np.full(node.size, jump.value)
-    out[live] = values
+    tail = _tail(float(s))
+    out = np.empty(len(n_values))
+    heads = None
+    if isinstance(jump.x, Fraction) and jump.x.denominator <= min(out.size, CHUNK):
+        # r/q and 1.0 - r/q are the doubles the per-order route forms;
+        # (q - r)/q can round differently
+        residue_sigma = np.arange(jump.x.denominator) / jump.x.denominator
+        heads = tail(residue_sigma), tail(1.0 - residue_sigma)
+    for lo, hi in blocks(0, out.size):
+        n = n_array(n_values[lo:hi])
+        k0, num, den, node = node_offsets(jump.x, n, 0)
+        live = ~node
+        num, k0, n = num[live], k0[live].astype(float), n[live].astype(float)
+        # asarray turns the Python-int quotients of a large p/q into doubles
+        sigma = np.asarray(num / den, dtype=float)
+        if heads is None:
+            head_a, head_b = tail(sigma), tail(1.0 - sigma)
+        else:
+            residue = num.astype(int)
+            head_a, head_b = heads[0][residue], heads[1][residue]
+        a = head_a - tail(sigma + k0 + 1.0)
+        b = head_b - tail(n - k0 + 1.0 - sigma)
+        block = out[lo:hi]
+        block[:] = jump.value
+        block[live] = (limits[0] * a + limits[1] * b) / (a + b)
     return out

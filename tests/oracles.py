@@ -2,11 +2,18 @@
 values.  These deliberately avoid the library's scipy closed forms and
 plateau machinery: plain truncated summation with interval tail bounds, raw
 membership counts, product-form basis polynomials, and grid scans.
+
+The whole-array oracles at the end hold every order or value at once, with
+the arithmetic that the block-wise library paths (shepard.step_sweep, the
+density window scans, the cluster gap cuts) must reproduce bit for bit.
 """
 
 import math
 
 import numpy as np
+from scipy.special import digamma, zeta
+
+from jumpspectra.piecewise import n_array, node_offsets
 
 CHUNK = 1_000_000
 
@@ -76,3 +83,40 @@ def grid_scan_preimage(profile_eval_many, pairs, du=1e-6):
 
 def weyl_sequence(n_terms, alpha, beta=0.0):
     return (np.arange(1, n_terms + 1, dtype=float) * alpha + beta) % 1.0
+
+
+def step_sweep_whole(f, s, n_values):
+    """shepard.step_sweep over all orders in one array, four tails per order."""
+    limits, jump = f.step_limits, f.jumps[0]
+    n = n_array(n_values)
+    k0, num, den, node = node_offsets(jump.x, n, 0)
+    live = ~node
+    sigma = np.asarray(num[live] / den, dtype=float)
+    k0, n = k0[live].astype(float), n[live].astype(float)
+
+    def tail(c):
+        return -digamma(c) if s == 1.0 else zeta(s, c)
+
+    a = tail(sigma) - tail(sigma + k0 + 1.0)
+    b = tail(1.0 - sigma) - tail(n - k0 + 1.0 - sigma)
+    out = np.full(node.size, jump.value)
+    out[live] = (limits[0] * a + limits[1] * b) / (a + b)
+    return out
+
+
+def window_ratios_whole(member, window):
+    """The running ratios |K n {1..n}|/n over the tail window, from one
+    cumulative sum over the whole prefix."""
+    member = np.asarray(member, dtype=bool)
+    start = max(1, math.ceil(member.size * window))
+    counts = np.cumsum(member)[start - 1 :]
+    return counts / np.arange(start, member.size + 1)
+
+
+def lower_density_whole(member, window):
+    return float(np.min(window_ratios_whole(member, window)))
+
+
+def gap_groups(sorted_values, gap):
+    """The runs of sorted_values split where neighbours differ by more than gap."""
+    return np.split(sorted_values, np.flatnonzero(np.diff(sorted_values) > gap) + 1)

@@ -23,8 +23,15 @@ from jumpspectra.density import (
     upper_density,
 )
 from jumpspectra.density import _plateau_estimate
+from jumpspectra.piecewise import CHUNK
 
-from oracles import count_fraction, weyl_sequence
+from oracles import (
+    count_fraction,
+    gap_groups,
+    lower_density_whole,
+    weyl_sequence,
+    window_ratios_whole,
+)
 
 ALPHA = math.sqrt(2) - 1
 
@@ -433,10 +440,90 @@ class TestNestedProfiles:
         values = np.where(n % 2 == 0, 1.0 + 1e-5 / n, 0.5 + 0.3 / n)
         sets = {np.count_nonzero(np.abs(values - center) < e) for e in DEFAULT_EPS_GRID}
         scans = []
+        window_scan = density._window_scan
         monkeypatch.setattr(
-            density, "lower_density", lambda m, w: scans.append(m) or lower_density(m, w)
+            density,
+            "_window_scan",
+            lambda *args, **kwargs: scans.append(args) or window_scan(*args, **kwargs),
         )
         est = empirical_index(SequencePrefix(values), center)
         assert len(scans) == len(sets) < len(DEFAULT_EPS_GRID)
         monkeypatch.undo()
         _assert_same(est, _finite_profile(values, center, DEFAULT_EPS_GRID, 0.5))
+
+
+def _long_prefix(seed):
+    """3 CHUNK + 5 values over a few levels, with weights that drift along
+    the prefix, so the running ratios peak and dip inside every block."""
+    rng = np.random.default_rng(seed)
+    levels = np.array([0.0, 0.25, 0.5, 0.5 + 2.0**-9, 1.0, 50.0, 2e3, 3e6, -40.0, -2e4])
+    n = 3 * CHUNK + 5
+    phase = np.sin(np.arange(n) * (7.0 / n)) ** 2
+    weights = np.outer(1.0 - phase, np.linspace(1, 2, levels.size)) + np.outer(
+        phase, np.linspace(2, 1, levels.size)
+    )
+    cumulative = weights.cumsum(axis=1) / weights.sum(axis=1)[:, None]
+    picks = (cumulative < rng.random((n, 1))).sum(axis=1)
+    return levels[picks] + rng.normal(0.0, 1e-4, n)
+
+
+class TestChunkedScans:
+    """The block-wise scans against one whole-array lower_density per set,
+    on prefixes of 3 CHUNK + 5 values; at window 0.5 the window starts
+    inside the second block, at 0.3 inside the first and at 0.9 in the last."""
+
+    GRID = (0.5, 0.3, 0.25, 0.1, 2.0**-9, 1e-3, 2e-4, 1e-5)
+
+    @pytest.mark.parametrize("window", [0.5, 0.3, 0.9])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_finite_target(self, window, seed):
+        values = _long_prefix(seed)
+        for target in (0.5, 0.25, 1.0):
+            est = empirical_index(SequencePrefix(values), target, self.GRID, window=window)
+            dist = np.abs(values - target)
+            assert est.eps_profile == tuple(
+                (eps, lower_density_whole(dist < eps, window)) for eps in self.GRID
+            )
+
+    @pytest.mark.parametrize("window", [0.5, 0.9])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_infinite_target(self, window, sign):
+        values = _long_prefix(3)
+        est = empirical_index(SequencePrefix(values), sign * math.inf, window=window)
+        ms = [m for m in DEFAULT_M_GRID if m < np.max(sign * values)]
+        assert len(ms) >= 2
+        assert est.eps_profile == tuple(
+            (1.0 / m, lower_density_whole(sign * values > m, window)) for m in ms
+        )
+
+    @pytest.mark.parametrize("window", [0.5, 0.3])
+    def test_set_index(self, window):
+        values = _long_prefix(4)
+        targets = IntervalUnion(((0.2, 0.3), (0.9, 1.0), (45.0, 60.0)))
+        est = set_index(SequencePrefix(values), targets, self.GRID, window=window)
+        assert est.eps_profile == tuple(
+            (eps, lower_density_whole(targets.inflate(eps).contains(values), window))
+            for eps in self.GRID
+        )
+
+    @pytest.mark.parametrize("window", [0.5, 0.3, 0.9])
+    def test_single_set_densities(self, window):
+        member = np.abs(_long_prefix(5) - 0.5) < 0.1
+        assert lower_density(member, window) == lower_density_whole(member, window)
+        assert upper_density(member, window) == float(np.max(window_ratios_whole(member, window)))
+        assert complement_identity_check(member, window)
+
+    def test_gap_cuts_across_block_edges(self):
+        # sorted tail: CHUNK values near 0, one at 0.5, then CHUNK + 3 near 1,
+        # so the cuts fall on both sides of the first block edge
+        rng = np.random.default_rng(6)
+        tail = np.concatenate(
+            (rng.uniform(0.0, 0.004, CHUNK), [0.5], rng.uniform(1.0, 1.004, CHUNK + 3))
+        )
+        values = np.concatenate((rng.uniform(-1.0, 2.0, tail.size), rng.permutation(tail)))
+        report = detect_clusters(SequencePrefix(values), gap=0.1, index_floor=0.0)
+        groups = gap_groups(np.sort(tail), 0.1)
+        assert [g.size for g in groups] == [CHUNK, 1, CHUNK + 3]
+        assert [(c.center, c.count) for c in report.clusters] == [
+            (float(np.mean(g)), g.size) for g in groups
+        ]

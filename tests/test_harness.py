@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import io
 import json
 import math
 from fractions import Fraction
@@ -20,10 +21,19 @@ from jumpspectra.harness import (
     write_comparison_json,
     write_run_csv,
 )
-from jumpspectra.density import SequencePrefix
+from jumpspectra.density import (
+    DEFAULT_STABILITY_TOL,
+    Cluster,
+    SequencePrefix,
+    _plateau_estimate,
+    empirical_index,
+    tail_values,
+)
 from jumpspectra.lagrange import ChebyshevGrid, lagrange_at_jump
 from jumpspectra.piecewise import ContinuousPart, from_steps, save_descriptor
 from jumpspectra.theory import Irrational
+
+from oracles import gap_groups, lower_density_whole, step_sweep_whole
 
 
 def lagrange_cfg(**kw):
@@ -343,6 +353,58 @@ class TestOutputs:
         write_run_csv(cfg, run_sequence(cfg), a)
         write_run_csv(cfg, run_sequence(cfg), b)
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestLongPrefix:
+    """The block-wise long-prefix paths against their whole-array definitions
+    at N = 10^6 and through the CLI's CSV export."""
+
+    @pytest.mark.parametrize("x0", [Fraction(1, 3), Fraction(2, 5)])
+    def test_compare_matches_whole_array_paths(self, x0):
+        cfg = shepard_cfg(location=x0, s=1.0, n_max=10**6, d=-0.25, gap=0.15, value_tol=0.03)
+        report = compare(cfg)
+        values = report.prefix.values
+        assert np.array_equal(values, step_sweep_whole(cfg.resolved_fn()[0], 1.0, cfg.ns()))
+        # detect_clusters by its definition: gap groups of the sorted tail,
+        # each indexed over an eps grid capped at half the distance to the
+        # nearest other center, one whole-array lower_density per eps
+        groups = gap_groups(np.sort(tail_values(values, cfg.tail_fraction)), cfg.gap)
+        centers = [float(np.mean(g)) for g in groups]
+        expected = []
+        for i, (group, center) in enumerate(zip(groups, centers)):
+            isolation = min(abs(center - c) for j, c in enumerate(centers) if j != i) / 2.0
+            grid = [e for e in cfg.eps_grid if e <= isolation]
+            profile = tuple(
+                (eps, lower_density_whole(np.abs(values - center) < eps, 0.5)) for eps in grid
+            )
+            assert empirical_index(report.prefix, center, grid).eps_profile == profile
+            index = _plateau_estimate([r for _, r in profile], DEFAULT_STABILITY_TOL)
+            if index >= cfg.index_floor:
+                expected.append(Cluster(center, index, int(group.size)))
+        assert len(expected) >= 2
+        assert report.empirical.clusters == tuple(expected)
+        assert report.passed
+
+    @pytest.mark.parametrize(
+        "flags, location, s, stride",
+        [
+            (["--x0-num", "1", "--x0-den", "3", "--s", "1"], Fraction(1, 3), 1.0, 1),
+            (["--location", str(math.sqrt(2) / 2), "--irrational", "--s", "2", "--stride", "3"],
+             Irrational(math.sqrt(2) / 2), 2.0, 3),
+        ],
+    )
+    def test_csv_bytes_match_run_rows(self, tmp_path, flags, location, s, stride):
+        # the CSV is written block by block; run_rows holds the whole run
+        path = tmp_path / "run.csv"
+        argv = ["run", "--operator", "shepard", "--n-max", "200000", "--d", "-0.25", *flags]
+        assert main([*argv, "--format", "csv", "--out", str(path)]) == 0
+        cfg = shepard_cfg(location=location, s=s, stride=stride, n_max=200_000, d=-0.25)
+        rows = run_rows(cfg, run_sequence(cfg))
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(rows[0])
+        writer.writerows(row.values() for row in rows)
+        assert path.read_bytes() == expected.getvalue().encode()
 
 
 class TestRunRows:

@@ -1,0 +1,49 @@
+"""Peak memory of the long-prefix CLI paths, each in a fresh interpreter.
+
+At N = 4*10^6 orders one float array is 32 MB.  compare holds the values
+and the sorted tail (48 MB) beside block-sized temporaries, so it must stay
+within two length-N arrays; the CSV export holds the values and one block
+of rows.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+# ru_maxrss before and after one cli.main call, in KiB (Linux)
+SCRIPT = """
+import contextlib, io, resource, sys
+from jumpspectra import cli
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+S1 = ["--operator", "shepard", "--s", "1", "--x0-num", "1", "--x0-den", "3",
+      "--n-max", "4000000", "--d", "-0.25"]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is read in KiB")
+@pytest.mark.parametrize(
+    "argv, limit_mb",
+    [
+        (["compare", *S1, "--gap", "0.15"], 64),
+        (["run", *S1, "--format", "csv", "--out", os.devnull], 100),
+    ],
+    ids=["compare", "run-csv"],
+)
+def test_peak_growth_after_import(argv, limit_mb):
+    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT, *argv],
+        capture_output=True, text=True, env=env, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, grown_kib = proc.stdout.split()
+    assert code == "0"
+    assert int(grown_kib) / 1024 <= limit_mb

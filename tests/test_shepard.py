@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jumpspectra.piecewise import (
+    CHUNK,
     ContinuousPart,
     JumpFunction,
     from_descriptor_dict,
@@ -16,6 +17,8 @@ from jumpspectra.piecewise import (
 )
 from jumpspectra.shepard import ShepardConfig, shepard_at_jump, shepard_eval, step_sweep
 from jumpspectra.specfun import g_shepard
+
+from oracles import step_sweep_whole
 
 H_HALF = pure_step(Fraction(1, 2), 0.3, "left1_right0", (0.0, 1.0))
 H_THIRD = pure_step(Fraction(1, 3), 0.3, "left1_right0", (0.0, 1.0))
@@ -250,6 +253,46 @@ class TestStepSweep:
         curved = from_steps(ContinuousPart((0.0, 1.0)), [(0.5, 1.0, 0.5)], (0.0, 1.0))
         with pytest.raises(ValueError):
             step_sweep(curved, 2.0, [10])
+
+
+class TestChunkedSweep:
+    """step_sweep against the whole-array sweep, across the block edges."""
+
+    ORDERS = [
+        range(1, 2 * CHUNK + 5),
+        range(CHUNK - 3, 2 * CHUNK + 4, 7),
+        [CHUNK + 1, 5, CHUNK, 2 * CHUNK + 3, CHUNK - 1, 1, 2],
+        list(range(CHUNK + 40, 0, -1)),
+    ]
+    # small q (the residue tails), q past CHUNK, q past the number of
+    # orders, and a float location
+    LOCATIONS = [Fraction(1, 3), Fraction(2, 5), Fraction(5, 7), Fraction(12345, 70001),
+                 Fraction(40001, 100003), math.sqrt(2) / 2]
+
+    @pytest.mark.parametrize("orders", ORDERS, ids=["range", "stride", "list", "long-list"])
+    @pytest.mark.parametrize("x0", LOCATIONS, ids=str)
+    @pytest.mark.parametrize("s", [1.0, 1.5, 2.0, 5.0])
+    def test_matches_whole_array_sweep(self, orders, x0, s):
+        h = pure_step(x0, -0.25, "left1_right0", (0.0, 1.0))
+        assert np.array_equal(step_sweep(h, s, orders), step_sweep_whole(h, s, orders))
+
+    @pytest.mark.parametrize("q, ps, s", [(3, (1, 2), 2.0), (5, (1, 2, 3, 4), 3.0)])
+    def test_benchmark_steps_match_whole_array_sweep(self, q, ps, s):
+        # the step tasks of the shepard_sweep benchmark workload, at N = 10^4
+        for p in ps:
+            h = pure_step(Fraction(p, q), 0.3, "left1_right0", (0.0, 1.0))
+            orders = range(1, 10_001)
+            assert np.array_equal(step_sweep(h, s, orders), step_sweep_whole(h, s, orders))
+
+    @pytest.mark.parametrize("x0", [math.sqrt(2) - 1, math.sqrt(2) / 2, (math.sqrt(5) - 1) / 2,
+                                    (3 - math.sqrt(5)) / 2, math.sqrt(3) - 1, math.sqrt(3) / 3,
+                                    math.sqrt(5) - 2])
+    def test_benchmark_irrational_steps_match_whole_array_sweep(self, x0):
+        # the declared-irrational tasks of the shepard_sweep workload, N = 5000
+        h = pure_step(x0, 0.3, "left1_right0", (0.0, 1.0))
+        for s in (2.0, 5.0):
+            orders = range(1, 5001)
+            assert np.array_equal(step_sweep(h, s, orders), step_sweep_whole(h, s, orders))
 
 
 class TestS1Excursions:
