@@ -54,13 +54,33 @@ the hits being nodes on another jump x_j, where f takes that jump's point
 value.  Every inner sum is a k-range of x0's weights: the shorter side of
 x0, from the jump outward, or a prefix of either side up to another jump.
 The kernel runs over those ranges only, with no evaluation of f at the
-nodes and no dot product: at the p/3 jump of acceptance criterion 7's
-function, about n/2 tangent pairs per order.  sweep computes them for
-every n of a run in batched passes: one node_offsets call, the gates as
-array tests, and the terms of many orders laid out in blocks of whole
-rows, each row cut into its ranges and each range summed over its own
-terms.  At a step (one jump on a constant base) this is the one-side sum,
+nodes and no dot product.  sweep computes them for every n of a run in
+batched passes: one node_offsets call, the gates as array tests, and the
+segment sums of each side of x0 in O(1) per order.  At a step (one jump on
+a constant base) this is the one-side sum,
 left + (right - left) * sum_{theta_k < theta0} ell_{n,k}, or its mirror.
+
+A side of length L (k0 on the side k <= k0, n - k0 on the other) is
+sum_j (-1)^j g(x_j), with g(x) = cot x + cot(x - reach), x_j = |b_k| =
+gap/2 + j h and reach the shift that turns x_j into the second half-angle
+(_side_sums).  Its first _HEAD = 32 terms are summed directly.  Past
+them, Euler-Boole summation gives the terms a <= j < b of a segment as
+
+    1/2 sum_k e_k h^k [(-1)^a g^(k)(x_a) - (-1)^b g^(k)(x_b)],
+
+with e_0 = 1 and, for odd k, e_k = E_k(0)/k! = -1/2, 1/24, -1/240,
+17/40320, -31/725760, 691/159667200, -5461/12454041600 (E_k the Euler
+polynomials; e_k = 0 for even k > 0), and cot^(k) x = P_k(cot x), with
+P_0(c) = c and P_(k+1)(c) = -(1 + c^2) P_k'(c).  Cut after k = 13, the
+remainder is about k! (h/(pi dist))^k / dist at k = 15, dist the distance
+from the arguments to the nearest multiple of pi; at dist >= _HEAD h that
+is below 2e-18/dist, under a last place of the segment's first term.  Every
+tail argument keeps that distance.  The direct head keeps out the pole of
+cot x_j as x_j -> 0, and x_j >= _HEAD h past it.  reach keeps x_j - reach
+at least min(x_j, theta0/2) (on the side k <= k0) or
+min(x_j, (pi - theta0)/2) (on the other) from a multiple of pi;
+theta0/2 = (k0 - 1/2) h + D'/2 and (pi - theta0)/2 = (n - k0 - 1/2) h + D/2,
+so on a side long enough to have a tail, L > _HEAD, that is _HEAD h too.
 
 sweep serves an order when f has no trig part, the domain holds [-1, 1],
 the degree len(poly) - 1 is below n, nodes k0 and k0 + 1 enclose x0 and
@@ -97,12 +117,22 @@ import numpy as np
 
 from .piecewise import NODE_ATOL, JumpFunction, n_array, node_offsets
 
-# sweep's side sums: terms per block, whose two buffers take
-# 256 KB, and orders per call, which keeps the per-order arrays near 100 KB.
-# With both, the benchmark's lagrange_sweep peak RSS reads about 0.5 MB
-# above the one-order-at-a-time loop's (0.9 MB with every order in one
-# call); smaller blocks cost time
-_BLOCK = 2**14
+# _side_sums' direct terms per row, and its Euler-Boole terms (module
+# docstring): e_k and P_k's coefficients in ascending powers of cot^2 x,
+# for odd k = 1, ..., 13
+_HEAD = 32
+_EULER_BOOLE = (
+    (-1 / 2, (-1, -1)),
+    (1 / 24, (-2, -8, -6)),
+    (-1 / 240, (-16, -136, -240, -120)),
+    (17 / 40320, (-272, -3968, -12096, -13440, -5040)),
+    (-31 / 725760, (-7936, -176896, -814080, -1491840, -1209600, -362880)),
+    (691 / 159667200, (-353792, -11184128, -71867136, -191431680, -250145280,
+                       -159667200, -39916800)),
+    (-5461 / 12454041600, (-22368256, -951878656, -8109803520, -29228559360,
+                            -54428774400, -55212917760, -29059430400, -6227020800)),
+)
+# orders per sweep call, which keeps the per-order arrays near 100 KB
 _ROWS = 512
 
 
@@ -322,8 +352,8 @@ def _side_terms(n, gap, reach, j):
 
 
 def _side_sums(n, gap, reach, cuts) -> np.ndarray:
-    """Segment sums of sum_j (-1)^j (cot x_j + cot(x_j - reach)), with
-    x_j = gap/2 + j pi/(2n): column c of the result sums j over
+    """Segment sums of sum_j (-1)^j g(x_j), g(x) = cot x + cot(x - reach),
+    x_j = gap/2 + j h, h = pi/(2n): column c of the result sums j over
     [cuts[c-1], cuts[c]) (cuts[-1] read as 0; an empty range sums to 0).
 
     A row is one side of the jump, from the jump outward, x_j = |b_k|, and
@@ -331,51 +361,46 @@ def _side_sums(n, gap, reach, cuts) -> np.ndarray:
     (x_j - reach = -a_k) or -(pi - theta0) (x_j - reach = pi - a_k); on the
     other it is pi - theta0 (a_k - pi) or -theta0 (a_k), whichever keeps
     the argument away from +-pi.  A term is -(cot a_k + cot b_k) on the
-    first side and +(cot a_k + cot b_k) on the second.  The rows, taken in
-    order of length, fill blocks of up to _BLOCK terms (or one longer row):
-    a block is a rectangle, one row per grid and one column per term, padded
-    to its longest row, and is computed by broadcasting into one buffer that
-    every block reuses.  Each segment is summed over its own terms, so a sum
-    does not depend on its block.
+    first side and +(cot a_k + cot b_k) on the second.  The terms j < _HEAD
+    are summed directly, each segment over its own terms in one pairwise
+    fold of the row; a segment's terms j >= _HEAD come from the Euler-Boole
+    sum at its two ends (module docstring).  Every step is elementwise or
+    along one row, so a row's sums do not depend on the rows beside it.
     """
-    if not n.size:
-        return np.empty(cuts.shape)
-    count = cuts[:, -1]
-    order = np.argsort(count, kind="stable")
-    n, count, reach, cuts = n[order], count[order], reach[order], cuts[order]
-    step, start = math.pi / (2 * n), gap[order] / 2
+    step, start = math.pi / (2 * n), gap / 2
     bounds = np.column_stack((np.zeros(n.size, dtype=cuts.dtype), cuts))
-    size = max(_BLOCK, int(count[-1]))
-    buffer = np.empty((2, size))
-    columns = np.arange(int(count[-1]), dtype=float)
-    sums = np.zeros((n.size, bounds.shape[1]))
-    i = 0
-    while i < n.size:
-        fits = np.arange(1, min(n.size - i, size // int(count[i])) + 1)
-        j = i + int(np.searchsorted(fits * count[i:i + fits.size], size, side="right"))
-        rows, width = slice(i, j), int(count[j - 1])
-        xv = buffer[:, :(j - i) * width]
-        x, v = (half.reshape(j - i, width) for half in xv)
-        np.multiply(columns[:width], step[rows, None], out=x)
-        x += start[rows, None]
-        np.subtract(x, reach[rows, None], out=v)
-        # the padding past a row's length holds values that no sum reads
-        terms = _cot_sum(xv).reshape(j - i, width)
-        terms[:, 1::2] *= -1.0
-        # each row's bounds, and its padding after the last one; the last
-        # row has no padding, and its bounds at the block's end start empty
-        # segments
-        at = (np.arange(j - i)[:, None] * width + bounds[rows]).ravel()
-        inside = at < (j - i) * width
-        block = np.zeros(at.size)
-        block[inside] = np.add.reduceat(terms.ravel(), at[inside])
-        sums[rows] = block.reshape(j - i, -1)
-        i = j
-    sums = sums[:, :-1]
-    sums[np.diff(bounds, axis=1) == 0] = 0.0
-    out = np.empty(sums.shape)
-    out[order] = sums
-    return out
+    # the head, past a row's length too, where no segment reads it
+    xv = np.empty((2, n.size, _HEAD))
+    np.multiply(np.arange(_HEAD, dtype=float), step[:, None], out=xv[0])
+    xv[0] += start[:, None]
+    np.subtract(xv[0], reach[:, None], out=xv[1])
+    terms = _cot_sum(xv)
+    terms[:, 1::2] *= -1.0
+    j = np.arange(_HEAD)
+    sums = np.empty(cuts.shape)
+    for c in range(cuts.shape[1]):
+        part = np.where((bounds[:, c, None] <= j) & (j < bounds[:, c + 1, None]), terms, 0.0)
+        while part.shape[1] > 1:
+            part = part[:, :part.shape[1] // 2] + part[:, part.shape[1] // 2:]
+        sums[:, c] = part[:, 0]
+    # the tail: (-1)^e (g + sum_k e_k h^k g^(k)) at x_e, for every bound e
+    # moved up to _HEAD, halved and differenced across each segment
+    rows = np.flatnonzero(cuts[:, -1] > _HEAD)
+    ends = np.maximum(bounds[rows], _HEAD)
+    h = step[rows, None]
+    x = ends * h + start[rows, None]
+    cot = 1.0 / np.tan(np.stack((x, x - reach[rows, None])))
+    square, power = cot * cot, h
+    tail = cot[0] + cot[1]
+    for e_k, p_k in _EULER_BOOLE:
+        p = p_k[-1]
+        for coefficient in p_k[-2::-1]:
+            p = p * square + coefficient
+        tail += (e_k * power) * (p[0] + p[1])
+        power = power * (h * h)
+    tail[ends % 2 == 1] *= -1.0
+    sums[rows] += (tail[:, :-1] - tail[:, 1:]) / 2
+    return sums
 
 
 def _sweep_block(f: JumpFunction, i: int, n, k0, gap, gap_before, angle: float, supplement: float):

@@ -35,7 +35,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import digamma, zeta
 
-from .piecewise import CHUNK, JumpFunction, blocks, n_array, node_offsets
+from .piecewise import CHUNK, NODE_ATOL, JumpFunction, blocks, n_array, node_offsets
 from .specfun import SHEPARD_S_MAX, SHEPARD_S_MIN
 
 
@@ -116,6 +116,9 @@ def step_sweep(f: JumpFunction, s: float, n_values) -> np.ndarray:
     and than CHUNK, sigma = r/q takes only q values, so the two head tails
     H(sigma) and H(1 - sigma) come from one table per residue r; otherwise
     each order takes its four tails.  Both routes give the same doubles.
+    An order with a node within 2*NODE_ATOL of x0 that is not x0 itself
+    goes to shepard_at_jump: eval_many may give that node the jump's point
+    value, and its sigma may round to 0 or 1.
 
     For s > 1 each tail zeta(s, c) carries the 1/(s-1) pole, which cancels
     in the difference, so the absolute error grows roughly as 4e-17/(s-1),
@@ -131,17 +134,24 @@ def step_sweep(f: JumpFunction, s: float, n_values) -> np.ndarray:
     jump = f.jumps[0]
     tail = _tail(float(s))
     out = np.empty(len(n_values))
-    heads = None
-    if isinstance(jump.x, Fraction) and jump.x.denominator <= min(out.size, CHUNK):
+    heads, exact = None, isinstance(jump.x, Fraction)
+    if exact and jump.x.denominator <= min(out.size, CHUNK):
         # r/q and 1.0 - r/q are the doubles the per-order route forms;
         # (q - r)/q can round differently
         residue_sigma = np.arange(jump.x.denominator) / jump.x.denominator
         heads = tail(residue_sigma), tail(1.0 - residue_sigma)
     for lo, hi in blocks(0, out.size):
-        n = n_array(n_values[lo:hi])
-        k0, num, den, node = node_offsets(jump.x, n, 0)
-        live = ~node
-        num, k0, n = num[live], k0[live].astype(float), n[live].astype(float)
+        orders = n_array(n_values[lo:hi])
+        k0, num, den, node = node_offsets(jump.x, orders, 0)
+        live, close = ~node, ()
+        # off a node sigma >= 1/q, so an exact p/q with q n < 1/(2*NODE_ATOL)
+        # has no node within 2*NODE_ATOL of x0
+        if not (exact and jump.x.denominator * int(orders.max()) < 0.5 / NODE_ATOL):
+            sigma = np.asarray(num / den, dtype=float)
+            near = np.minimum(sigma, 1.0 - sigma) <= 2 * NODE_ATOL * orders
+            close = np.flatnonzero(live & near)
+            live[close] = False
+        num, k0, n = num[live], k0[live].astype(float), orders[live].astype(float)
         # asarray turns the Python-int quotients of a large p/q into doubles
         sigma = np.asarray(num / den, dtype=float)
         if heads is None:
@@ -154,4 +164,6 @@ def step_sweep(f: JumpFunction, s: float, n_values) -> np.ndarray:
         block = out[lo:hi]
         block[:] = jump.value
         block[live] = (limits[0] * a + limits[1] * b) / (a + b)
+        for i in close:
+            block[i] = shepard_at_jump(ShepardConfig(s, int(orders[i])), f, 0)
     return out

@@ -3,9 +3,11 @@ values.  These deliberately avoid the library's scipy closed forms and
 plateau machinery: plain truncated summation with interval tail bounds, raw
 membership counts, product-form basis polynomials, and grid scans.
 
-The whole-array oracles at the end hold every order or value at once, with
-the arithmetic that the block-wise library paths (shepard.step_sweep, the
-density window scans, the cluster gap cuts) must reproduce bit for bit.
+side_sums_direct sums the Lagrange side terms one by one, as the sweep did
+before its Euler-Boole tails.  The whole-array oracles at the end hold
+every order or value at once, with the arithmetic that the block-wise
+library paths (shepard.step_sweep, the density window scans, the cluster
+gap cuts) must reproduce bit for bit.
 """
 
 import math
@@ -83,6 +85,21 @@ def grid_scan_preimage(profile_eval_many, pairs, du=1e-6):
 
 def weyl_sequence(n_terms, alpha, beta=0.0):
     return (np.arange(1, n_terms + 1, dtype=float) * alpha + beta) % 1.0
+
+
+def side_sums_direct(n, gap, reach, cuts):
+    """lagrange._side_sums term by term: per row, every term
+    (-1)^j (cot x_j + cot(x_j - reach)), x_j = gap/2 + j pi/(2n), of its
+    length cuts[-1], and each segment [cuts[c-1], cuts[c]) summed over its
+    own terms with math.fsum."""
+    out = np.zeros(cuts.shape)
+    for row, (m, g, r, bounds) in enumerate(zip(n.tolist(), gap, reach, cuts.tolist())):
+        x = np.arange(bounds[-1], dtype=float) * (math.pi / (2 * m)) + g / 2
+        terms = 1.0 / np.tan(x) + 1.0 / np.tan(x - r)
+        terms[1::2] *= -1.0
+        for c, (lo, hi) in enumerate(zip([0] + bounds[:-1], bounds)):
+            out[row, c] = math.fsum(terms[lo:hi])
+    return out
 
 
 def step_sweep_whole(f, s, n_values):

@@ -8,12 +8,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from jumpspectra import lagrange
 from jumpspectra.lagrange import (
+    _EULER_BOOLE,
+    _HEAD,
     ChebyshevGrid,
     _brackets,
     _coincident_node,
     _general_sum as _library_general_sum,
     _location,
+    _side_sums,
     _weights,
     fundamental_eval,
     fundamental_product_reference,
@@ -33,7 +37,7 @@ from jumpspectra.piecewise import (
 )
 from jumpspectra.specfun import g_lagrange
 
-from oracles import product_basis
+from oracles import product_basis, side_sums_direct
 
 CONST_ONE = JumpFunction(ContinuousPart((1.0,)), (), (-1.0, 1.0))
 CUBE = JumpFunction(ContinuousPart((0.0, 0.0, 0.0, 1.0)), (), (-1.0, 1.0))
@@ -732,6 +736,160 @@ class TestSweep:
         assert served.all()
         for n, value in zip(ns, values):
             assert abs(value - _exact_sum(mpmath, ratio, ChebyshevGrid(n), f)) < 1e-14
+
+
+@st.composite
+def _side_sum_cases(draw):
+    """(f, jump_index, ratio, n) for one order of sweep: a polynomial base
+    with a jump at an exact p/q (q <= 50), a float ratio, a float within
+    1e-3 of 0 or 1 or one within 1e-9 of a node, and 0-2 other jumps
+    midway between two nodes, each cutting a side after a drawn number of
+    terms, many of them around _HEAD, so that segments start before, at and
+    past it."""
+    n = draw(st.integers(3, 4000))
+    kind = draw(st.sampled_from(["exact", "float", "near 0 or 1", "near a node"]))
+    if kind == "exact":
+        q = draw(st.integers(2, 50))
+        ratio = Fraction(draw(st.integers(1, q - 1)), q)
+    elif kind == "float":
+        ratio = draw(st.floats(0.001, 0.999))
+    elif kind == "near 0 or 1":
+        ratio = draw(st.floats(1e-7, 1e-3))
+        ratio = draw(st.sampled_from([ratio, 1.0 - ratio]))
+    else:
+        k = draw(st.integers(1, n))
+        offset = draw(st.floats(1e-11, 1e-9)) * draw(st.sampled_from([-1, 1]))
+        ratio = (2 * k - 1) / (2 * n) + offset
+    assume(0.0 < ratio < 1.0)
+    k0 = int(_location(ratio, n)[1])
+    locations = [math.cos(math.pi * float(ratio))]
+    for _ in range(draw(st.integers(0, 2))):
+        side = draw(st.sampled_from([0, 1]))
+        length = k0 if side == 0 else n - k0
+        cut = draw(st.one_of(st.integers(_HEAD - 2, _HEAD + 2), st.integers(1, n)))
+        assume(cut < length)
+        # theta = k pi/n, midway between nodes k and k + 1, puts k nodes right
+        # of the jump
+        locations.append(math.cos(math.pi * (k0 - cut if side == 0 else k0 + cut) / n))
+    assume(len(set(locations)) == len(locations))
+    poly = tuple(draw(st.floats(-2.0, 2.0)) for _ in range(draw(st.integers(1, 3))))
+    amounts = [draw(st.sampled_from([-1.5, -0.5, 0.25, 1.0, 2.0])) for _ in locations]
+    f = from_steps(ContinuousPart(poly), [(x, a, 0.3) for x, a in zip(locations, amounts)],
+                   (-1.0, 1.0))
+    return f, [j.x_float for j in f.jumps].index(locations[0]), ratio, n
+
+
+def _swept_side_sums(f, i, ratio, n):
+    """The arguments that sweep passes to _side_sums at the one order n."""
+    with mock.patch.object(lagrange, "_side_sums", side_effect=_side_sums) as spy:
+        served, _ = sweep(f, i, ratio, [n])
+    assume(served[0] and spy.called and spy.call_args.args[0].size)
+    return spy.call_args.args
+
+
+def _side_rows(length, start):
+    """_side_sums arguments for rows of the given length with one cut at
+    start, on both sides of the jump and at two gaps and two orders."""
+    rows = []
+    for n in (3 * length + 1, 2000):
+        h = math.pi / (2 * n)
+        for gap in (0.3 * h, 1.7 * h):
+            # the side k <= k0 with k0 = length, reach theta0, and the other
+            # side with n - k0 = length, reach pi - theta0
+            rows.append((n, gap, (2 * length - 1) * h + gap))
+            rows.append((n, gap, math.pi - ((2 * (n - length) + 1) * h - gap)))
+    n, gap, reach = (np.array(column) for column in zip(*rows))
+    return n, gap, reach, np.tile([start, length], (n.size, 1))
+
+
+def _first_term(gap, reach):
+    """|cot x_0| + |cot(x_0 - reach)| per row, as a column."""
+    return (np.abs(1.0 / np.tan(gap / 2)) + np.abs(1.0 / np.tan(gap / 2 - reach)))[:, None]
+
+
+def _exact_side_sums(mpmath, n, gap, reach, cuts):
+    """_side_sums to 40 digits, for the exact values of its double arguments."""
+    out = np.zeros(cuts.shape)
+    with mpmath.workdps(40):
+        for row, (m, g, r, bounds) in enumerate(zip(n.tolist(), gap, reach, cuts.tolist())):
+            h, lo = mpmath.pi / (2 * m), 0
+            for c, hi in enumerate(bounds):
+                total = 0
+                for j in range(lo, hi):
+                    x = mpmath.mpf(g) / 2 + j * h
+                    total += (-1) ** j * (mpmath.cot(x) + mpmath.cot(x - mpmath.mpf(r)))
+                out[row, c], lo = float(total), hi
+    return out
+
+
+class TestSideSums:
+    """_side_sums, its direct head and Euler-Boole tail, against the direct
+    sum of every term and against 40-digit sums, within 1e-15 of the
+    magnitude of each row's first term."""
+
+    def test_coefficients(self):
+        # e_k are the Taylor coefficients of 2/(e^t + 1) = sum E_k(0) t^k/k!,
+        # and P_k come from P_0(c) = c, P_(k+1)(c) = -(1 + c^2) P_k'(c)
+        exp_plus_one = [Fraction(2)] + [Fraction(1, math.factorial(m)) for m in range(1, 14)]
+        e = [Fraction(1)]
+        for m in range(1, 14):
+            e.append(-sum(exp_plus_one[i] * e[m - i] for i in range(1, m + 1)) / 2)
+        p = [0, 1]
+        derivatives = {}
+        for k in range(1, 14):
+            dp = [i * a for i, a in enumerate(p)][1:]
+            p = [0] * (len(dp) + 2)
+            for i, a in enumerate(dp):
+                p[i] -= a
+                p[i + 2] -= a
+            derivatives[k] = p
+        assert [e[k] for k in range(2, 14, 2)] == [0] * 6
+        odd = range(1, 14, 2)
+        assert [e_k for e_k, _ in _EULER_BOOLE] == [float(e[k]) for k in odd]
+        assert [list(p_k) for _, p_k in _EULER_BOOLE] == [derivatives[k][::2] for k in odd]
+        assert all(not any(derivatives[k][1::2]) for k in odd)
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=_side_sum_cases())
+    def test_matches_the_direct_sum(self, case):
+        n, gap, reach, cuts = _swept_side_sums(*case)
+        error = np.abs(_side_sums(n, gap, reach, cuts) - side_sums_direct(n, gap, reach, cuts))
+        assert np.all(error <= 1e-15 * _first_term(gap, reach))
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=_side_sum_cases())
+    def test_error_against_a_40_digit_sum(self, case):
+        mpmath = pytest.importorskip("mpmath")
+        n, gap, reach, cuts = _swept_side_sums(*case)
+        exact = _exact_side_sums(mpmath, n, gap, reach, cuts)
+        error = np.abs(_side_sums(n, gap, reach, cuts) - exact)
+        assert np.all(error <= 1e-15 * _first_term(gap, reach))
+
+    @pytest.mark.parametrize("length", [_HEAD - 1, _HEAD, _HEAD + 1, _HEAD + 2])
+    @pytest.mark.parametrize("start", [0, 1, _HEAD - 1, _HEAD, _HEAD + 1])
+    def test_segments_around_the_head(self, length, start):
+        n, gap, reach, cuts = _side_rows(length, min(start, length))
+        sums, unit = _side_sums(n, gap, reach, cuts), _first_term(gap, reach)
+        assert np.all(np.abs(sums - side_sums_direct(n, gap, reach, cuts)) <= 1e-15 * unit)
+        mpmath = pytest.importorskip("mpmath")
+        exact = _exact_side_sums(mpmath, n, gap, reach, cuts)
+        assert np.all(np.abs(sums - exact) <= 1e-15 * unit)
+
+    @pytest.mark.parametrize("two_jumps", [False, True])
+    def test_a_full_block_equals_one_order_at_a_time(self, two_jumps):
+        # at theta0/pi = 1/3 no order is a node, so orders 60-571 make one
+        # block of _ROWS rows; the shorter side, k0 = round(n/3), has
+        # _HEAD - 1 to _HEAD + 2 terms at n = 92-103
+        ratio = Fraction(1, 3)
+        f, i = _two_jump_at(ratio) if two_jumps else (_step(0.5, (0.0, 1.0), 0.3), 0)
+        ns = range(60, 60 + lagrange._ROWS)
+        with mock.patch.object(lagrange, "_side_sums", side_effect=_side_sums) as spy:
+            served, values = sweep(f, i, ratio, ns)
+        assert served.all() and spy.call_count == 1
+        k0 = _location(ratio, np.arange(92, 104))[1]
+        assert set(k0.tolist()) == set(range(_HEAD - 1, _HEAD + 3))
+        for n, value in zip(ns, values):
+            assert value == lagrange_at_jump(ChebyshevGrid(n), f, i, ratio)
 
 
 def _exact_sum(mpmath, ratio, grid, f):

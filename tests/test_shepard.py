@@ -238,6 +238,35 @@ class TestStepSweep:
             assert value == pytest.approx(shepard_at_jump(ShepardConfig(2.0, n), h, 0), abs=1e-10)
 
     @pytest.mark.parametrize("s", [1.0, 2.0])
+    def test_node_within_an_ulp_of_a_large_q_location(self, s):
+        # at n = 3, 6, ..., 18, n p mod q is within an ulp of q: sigma rounds
+        # to 1.0, and node k0 + 1 lies within NODE_ATOL of x0, where eval_many
+        # gives it the point value
+        h = pure_step(Fraction(10**17 + 1, 3 * 10**17 + 7), 0.3, "left1_right0", (0.0, 1.0))
+        values = step_sweep(h, s, range(1, 20))
+        for n, value in zip(range(1, 20), values):
+            direct = shepard_at_jump(ShepardConfig(s, n), h, 0)
+            if n % 3 == 0:
+                assert value == direct == pytest.approx(0.3, abs=1e-15)
+            else:
+                assert value == pytest.approx(direct, abs=1e-15)
+
+    @pytest.mark.parametrize("n", [10, 30, 40, 60, 200, 1000])
+    @pytest.mark.parametrize("s", [1.0, 2.0])
+    def test_float_location_next_to_a_node(self, n, s):
+        # 5e-12/n past node n // 3: no node by node_offsets' rule, but within
+        # 2*NODE_ATOL of x0 from n = 25 and within NODE_ATOL from n = 50
+        x0 = (n // 3) / n + 5e-12 / n
+        h = pure_step(x0, 0.3, "left1_right0", (0.0, 1.0))
+        orders = [n - 1, n, n + 1]
+        assert not node_offsets(x0, n, 0)[3]
+        for order, value in zip(orders, step_sweep(h, s, orders)):
+            direct = shepard_at_jump(ShepardConfig(s, order), h, 0)
+            assert value == (direct if order == n and n > 25 else pytest.approx(direct, abs=1e-14))
+        if n > 50:
+            assert step_sweep(h, s, [n])[0] == pytest.approx(0.3, abs=1e-10)
+
+    @pytest.mark.parametrize("s", [1.0, 2.0])
     def test_irrational_location_never_a_node(self, s):
         h = pure_step(math.sqrt(2) / 2, 0.3, "left1_right0", (0.0, 1.0))
         assert not np.any(step_sweep(h, s, range(1, 10**6 + 1)) == 0.3)
