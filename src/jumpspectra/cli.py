@@ -55,7 +55,7 @@ EXIT_NUMERIC = 3
 def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON file with default flag values")
     p.add_argument("--operator", choices=["lagrange", "shepard"])
-    p.add_argument("--s", type=float, help="shepard exponent (s >= 1)")
+    p.add_argument("--s", type=float, help="shepard exponent (1 <= s <= 20)")
     p.add_argument("--theta-num", type=int, help="lagrange: theta0/pi numerator")
     p.add_argument("--theta-den", type=int, help="lagrange: theta0/pi denominator")
     p.add_argument("--x0-num", type=int, help="shepard: x0 numerator")

@@ -23,24 +23,19 @@ out of the estimate while still letting slowly shrinking memberships (for
 example equidistributed sequences hitting an inflated interval) settle to
 their true measure.
 
-Two shortcuts keep the profile cheap on long prefixes without moving a
-single ratio:
-
-  * the sets of a profile are nested (strict |x_n - L| < eps with eps
-    decreasing, x_n > M with M increasing, closed inflated intervals with
-    eps decreasing, each exact in floating point since rounding is
-    monotone), so a set with as many members as the previous, larger one
-    is that set; a first pass over the prefix counts every set's members,
-    in all and ahead of the tail window, the ratio of a repeated set is
-    reused, and the window is scanned once per distinct set, not once per
-    eps;
-  * that scan sums the running counts over the tail window only, seeded
-    with the count ahead of it and carried from one block of
-    piecewise.CHUNK values to the next, so no prefix-long temporary is
-    built; the integer counts, hence the quotients, are the ones a
-    cumulative sum over the whole prefix gives.  lower_density,
-    upper_density and complement_identity_check are the one-set case of
-    the same scan.
+One pass over the prefix reads a whole profile without moving a single
+ratio.  The values are read one block of piecewise.CHUNK at a time; each
+block's keys and each set's membership are evaluated once, and every set
+carries its running count and its first extreme ratio from block to
+block, so no prefix-long temporary is built and the integer counts, hence
+the quotients, are the ones a cumulative sum over the whole prefix gives.
+The sets of a profile are nested (strict |x_n - L| < eps with eps
+decreasing, x_n > M with M increasing, closed inflated intervals with eps
+decreasing, each exact in floating point since rounding is monotone), so a
+set whose block count has equalled the previous, larger set's in every
+block so far is that set: it takes that set's count and extreme and runs
+no cumulative sum of its own.  lower_density, upper_density and
+complement_identity_check are the one-set case of the same scan.
 
 All functions are pure; callers may evaluate different prefixes in
 parallel.
@@ -172,54 +167,74 @@ def _window_start(n_total: int, window: float) -> int:
     return max(1, math.ceil(n_total * window))
 
 
-def _window_scan(values, member, window: float, before=None, lowest=True):
-    """(ratio, count, n) at the first lowest (or highest) running ratio.
+def _nested_scan(values, key, members, window: float, lowest=True) -> list:
+    """(ratio, count, n) at the first lowest (or highest) running ratio of
+    each of a sequence of nested sets, largest first.
 
-    The ratios are count/n = |K n {1..n}|/n over the tail window n in
-    [ceil(N*window), N], for K = {n : x_n in the set}, where member maps a
-    block of values to their membership.  before is |K n {1..n}| just ahead
-    of the window, counted here when the caller does not pass it.  The
-    values are read one block of CHUNK at a time, with the count carried
-    from block to block, so the integer counts, hence the ratios, are the
-    ones a cumulative sum over the whole prefix gives.
+    Set j holds the n with members[j](key(x_n)), and its running ratios are
+    count/n = |K n {1..n}|/n over the tail window n in [ceil(N*window), N].
+    A set whose block count has equalled the previous set's in every block
+    so far takes that set's (count, extreme) state (module docstring).
     """
-    start = _window_start(values.size, window)
-    if before is None:
-        before = sum(
-            int(np.count_nonzero(member(values[lo:hi]))) for lo, hi in blocks(0, start - 1)
-        )
+    head = _window_start(values.size, window) - 1
     pick, beats = (np.argmin, operator.lt) if lowest else (np.argmax, operator.gt)
-    best = None
-    for lo, hi in blocks(start - 1, values.size):
-        counts = np.cumsum(member(values[lo:hi]))
-        counts += before
-        ratios = counts / np.arange(lo + 1, hi + 1)
-        i = int(pick(ratios))
-        if best is None or beats(ratios[i], best[0]):
-            best = float(ratios[i]), int(counts[i]), lo + 1 + i
-        before = int(counts[-1])
-    return best
+    states = [(0, None)] * len(members)
+    # tied[j]: set j has equalled set j - 1 in every block so far
+    tied = [j > 0 for j in range(len(members))]
+    for lo, hi in blocks(0, values.size):
+        keys = key(values[lo:hi])
+        # the block's first skip values lie ahead of the window
+        skip = max(head - lo, 0)
+        above = None
+        for j, member in enumerate(members):
+            inside = member(keys)
+            found = int(np.count_nonzero(inside))
+            tied[j] = tied[j] and found == above
+            above = found
+            if tied[j]:
+                states[j] = states[j - 1]
+                continue
+            count, best = states[j]
+            if hi > head:
+                # the running counts over the window's part of the block, in
+                # doubles (exact below 2^53), divided in place
+                ahead = count + int(np.count_nonzero(inside[:skip]))
+                ratios = inside[skip:].astype(float)
+                np.cumsum(ratios, out=ratios)
+                if ahead:
+                    ratios += ahead
+                ratios /= np.arange(lo + skip + 1, hi + 1)
+                i = int(pick(ratios))
+                if best is None or beats(ratios[i], best[0]):
+                    at = ahead + int(np.count_nonzero(inside[skip : skip + i + 1]))
+                    best = float(ratios[i]), at, lo + skip + 1 + i
+            states[j] = count + found, best
+    return [best for _, best in states]
 
 
 def _as_is(block):
     return block
 
 
+def _one_set(membership, window: float, member=_as_is, lowest=True):
+    """(ratio, count, n) of the scan of one set, K = {n : member(membership)_n}."""
+    return _nested_scan(np.asarray(membership, dtype=bool), member, [_as_is], window, lowest)[0]
+
+
 def lower_density(membership, window: float = 0.5) -> float:
     """min of |K n {1..n}|/n over the tail window n in [ceil(N*window), N]."""
-    return _window_scan(np.asarray(membership, dtype=bool), _as_is, window)[0]
+    return _one_set(membership, window)[0]
 
 
 def upper_density(membership, window: float = 0.5) -> float:
     """max of the prefix ratios over the same tail window."""
-    return _window_scan(np.asarray(membership, dtype=bool), _as_is, window, lowest=False)[0]
+    return _one_set(membership, window, lowest=False)[0]
 
 
 def complement_identity_check(membership, window: float = 0.5) -> bool:
     """Exact check of lower(K) = 1 - upper(K^c) in rational arithmetic."""
-    member = np.asarray(membership, dtype=bool)
-    _, count, n = _window_scan(member, _as_is, window)
-    _, comp_count, comp_n = _window_scan(member, np.logical_not, window, lowest=False)
+    _, count, n = _one_set(membership, window)
+    _, comp_count, comp_n = _one_set(membership, window, np.logical_not, lowest=False)
     return Fraction(count, n) == 1 - Fraction(comp_count, comp_n)
 
 
@@ -250,36 +265,10 @@ def _plateau_estimate(ratios, tol: float) -> float:
     return ratios[k]
 
 
-def _nested_ratios(values, key, members, window: float) -> list[float]:
-    """lower_density of each of a sequence of nested sets, largest first.
-
-    Set j holds the n with members[j](key(x_n)).  A first pass counts each
-    set's members, in all and ahead of the tail window.  A set with as many
-    members as the previous one, which contains it, is the same set, so its
-    ratio is reused; each distinct set gets one _window_scan, seeded with
-    its count ahead of the window.
-    """
-    head = _window_start(values.size, window) - 1
-    totals = [0] * len(members)
-    before = [0] * len(members)
-    for lo, hi in blocks(0, values.size):
-        keys = key(values[lo:hi])
-        for j, member in enumerate(members):
-            inside = member(keys)
-            count = int(np.count_nonzero(inside))
-            totals[j] += count
-            if hi <= head:
-                before[j] += count
-            elif lo < head:
-                before[j] += int(np.count_nonzero(inside[: head - lo]))
-    ratios = []
-    for j, member in enumerate(members):
-        if j == 0 or totals[j] != totals[j - 1]:
-            ratio = _window_scan(
-                values, lambda block, member=member: member(key(block)), window, before[j]
-            )[0]
-        ratios.append(ratio)
-    return ratios
+def _nested_index(target, values, key, members, scales, tol, window) -> IndexEstimate:
+    """The IndexEstimate of nested sets, its profile the (scale, ratio) pairs."""
+    ratios = [best[0] for best in _nested_scan(values, key, members, window)]
+    return IndexEstimate(target, tuple(zip(scales, ratios)), _plateau_estimate(ratios, tol))
 
 
 def _validate_grid(eps_grid):
@@ -316,23 +305,16 @@ def empirical_index(
         extreme = float(np.max(values)) if sign > 0 else -float(np.min(values))
         # with no M below the extreme, the first M's set is empty: ratio 0
         ms = [m for m in DEFAULT_M_GRID if m < extreme] or [DEFAULT_M_GRID[0]]
-        ratios = _nested_ratios(
-            values,
-            lambda block: sign * block,
-            [lambda signed, m=m: signed > m for m in ms],
-            window,
+        members = [lambda signed, m=m: signed > m for m in ms]
+        return _nested_index(
+            target, values, lambda block: sign * block, members, [1.0 / m for m in ms],
+            stability_tol, window,
         )
-        profile = tuple((1.0 / m, r) for m, r in zip(ms, ratios))
-        return IndexEstimate(target, profile, _plateau_estimate(ratios, stability_tol))
     grid = _validate_grid(eps_grid)
-    ratios = _nested_ratios(
-        values,
-        lambda block: np.abs(block - target),
-        [lambda dist, eps=eps: dist < eps for eps in grid],
-        window,
+    members = [lambda dist, eps=eps: dist < eps for eps in grid]
+    return _nested_index(
+        target, values, lambda block: np.abs(block - target), members, grid, stability_tol, window
     )
-    profile = tuple(zip(grid, ratios))
-    return IndexEstimate(target, profile, _plateau_estimate(ratios, stability_tol))
 
 
 def set_index(
@@ -344,11 +326,8 @@ def set_index(
 ) -> IndexEstimate:
     """Convergence index of the prefix relative to an interval union."""
     grid = _validate_grid(eps_grid)
-    ratios = _nested_ratios(
-        prefix.values, _as_is, [targets.inflate(eps).contains for eps in grid], window
-    )
-    profile = tuple(zip(grid, ratios))
-    return IndexEstimate(targets, profile, _plateau_estimate(ratios, stability_tol))
+    members = [targets.inflate(eps).contains for eps in grid]
+    return _nested_index(targets, prefix.values, _as_is, members, grid, stability_tol, window)
 
 
 def tail_values(values: np.ndarray, tail_fraction: float) -> np.ndarray:

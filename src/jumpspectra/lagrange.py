@@ -83,11 +83,14 @@ theta0/2 = (k0 - 1/2) h + D'/2 and (pi - theta0)/2 = (n - k0 - 1/2) h + D/2,
 so on a side long enough to have a tail, L > _HEAD, that is _HEAD h too.
 
 sweep serves an order when f has no trig part, the domain holds [-1, 1],
-the degree len(poly) - 1 is below n, nodes k0 and k0 + 1 enclose x0 and
-the stored location with 2*NODE_ATOL to spare, and every node is either
-more than 2*NODE_ATOL from each other jump or within NODE_ATOL/2 of it (a
-hit, corrected with the side the sums gave that node, so a last-place
-difference between two cosines cannot flip it).  lagrange_at_jump runs a
+the degree len(poly) - 1 is below n, and one node-proximity test
+(_other_jump) passes at every location.  At x0 and at the stored location
+it finds k0 nodes right of the point and none within 2*NODE_ATOL of it,
+so nodes k0 and k0 + 1 enclose both with that to spare.  At each other
+jump every node is either more than 2*NODE_ATOL from it or within
+NODE_ATOL/2 of it (a hit, corrected with the side the sums gave that
+node).  Either way a last-place difference between two cosines cannot
+flip a node's side or its hit.  lagrange_at_jump runs a
 one-order sweep, so a sweep value equals the per-n value bit for bit;
 where the order is not served (trig bases, n <= deg p, a node between
 NODE_ATOL/2 and 2*NODE_ATOL of a jump) it takes the full weight vector
@@ -297,29 +300,11 @@ def fundamental_product_reference(grid: ChebyshevGrid, k: int, x: float) -> floa
     return float(np.prod((x - others) / (xk - others)))
 
 
-def _brackets(n: np.ndarray, k0: np.ndarray, *xs: float) -> np.ndarray:
-    """For each row (n, k0): whether nodes k0 and k0 + 1 (1-based) of the
-    n-th grid enclose every x with more than 2*NODE_ATOL to spare; a missing
-    node (k0 = 0 or n) bounds nothing.
-
-    Where this holds, neither JumpFunction.eval_many nor _coincident_node
-    finds a node within NODE_ATOL of any x.  The nodes' angles
-    (2k-1)*pi/(2n) are the doubles of ChebyshevGrid.thetas, but their
-    cosines may differ from grid.nodes' in the last place; the second
-    NODE_ATOL covers that.
-    """
-    above = np.where(k0 > 0, np.cos((2 * k0 - 1) * math.pi / (2 * n)), np.inf)
-    below = np.where(k0 < n, np.cos((2 * k0 + 1) * math.pi / (2 * n)), -np.inf)
-    inside = np.ones(n.size, dtype=bool)
-    for x in xs:
-        inside &= (above - x > 2 * NODE_ATOL) & (x - below > 2 * NODE_ATOL)
-    return inside
-
-
 def _other_jump(n: np.ndarray, x: float):
     """(count, hit, clear) for another jump, at x, in the grids of the orders n.
 
-    count is the number of nodes with x_k >= x, the nodes eval_many puts
+    _sweep_block also reads it at x0 and at the stored location, where it
+    asks for count == k0, clear and no hit.  count is the number of nodes with x_k >= x, the nodes eval_many puts
     right of the jump; hit is the index of a node within NODE_ATOL/2 of x,
     which eval_many gives the jump's point value, or 0; clear is whether
     every node is either such a hit or more than 2*NODE_ATOL from x (and no
@@ -330,17 +315,15 @@ def _other_jump(n: np.ndarray, x: float):
     """
     theta = math.acos(min(max(x, -1.0), 1.0))
     near = np.clip(np.rint(n * (theta / math.pi) + 0.5).astype(np.int64), 1, n)
-    count = np.maximum(near - 2, 0)
-    hit = np.zeros(n.size, dtype=np.int64)
-    clear = np.ones(n.size, dtype=bool)
-    for k in (near - 1, near, near + 1):
-        valid = (k >= 1) & (k <= n)
-        node = np.cos((2 * k - 1) * math.pi / (2 * n))
-        dist = np.abs(node - x)
-        count += valid & (node >= x)
-        on = valid & (dist <= NODE_ATOL / 2)
-        clear &= ~(valid & (dist <= 2 * NODE_ATOL)) | (on & (hit == 0))
-        hit = np.where(on, k, hit)
+    # one row each for the nearest node angle and its two neighbours
+    k = near + np.array([[-1], [0], [1]])
+    valid = (k >= 1) & (k <= n)
+    node = np.cos((2 * k - 1) * math.pi / (2 * n))
+    dist = np.abs(node - x)
+    count = np.maximum(near - 2, 0) + (valid & (node >= x)).sum(axis=0)
+    on = valid & (dist <= NODE_ATOL / 2)
+    clear = (on | ~(valid & (dist <= 2 * NODE_ATOL))).all(axis=0) & (on.sum(axis=0) <= 1)
+    hit = np.where(on, k, 0).max(axis=0)
     return count, hit, clear
 
 
@@ -421,7 +404,12 @@ def _sweep_block(f: JumpFunction, i: int, n, k0, gap, gap_before, angle: float, 
     other + (summed - other) * S.
     """
     x0 = math.cos(angle)
-    served = (len(f.base.poly) - 1 < n) & _brackets(n, k0, x0, f.jumps[i].x_float)
+    served = len(f.base.poly) - 1 < n
+    # nodes k0 and k0 + 1 enclose x0 and the stored location, with no node
+    # within 2*NODE_ATOL of either (often the same double)
+    for x in {x0, f.jumps[i].x_float}:
+        count, hit, clear = _other_jump(n, x)
+        served &= (count == k0) & clear & (hit == 0)
     counts, hits = {}, {}
     for j, jump in enumerate(f.jumps):
         if j != i:

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jumpspectra import density
 from jumpspectra.density import (
     DEFAULT_EPS_GRID,
     DEFAULT_M_GRID,
@@ -435,21 +434,31 @@ class TestNestedProfiles:
 
     @pytest.mark.parametrize("center", [1.0, 0.5, 0.25])
     def test_one_scan_per_distinct_set(self, monkeypatch, center):
-        # values settling on two limits: many eps of the grid give one set
-        n = np.arange(1, 2001, dtype=float)
+        # values settling on two limits, over 2 CHUNK + 5 values: many eps of
+        # the grid give one set, every set settles in the first block, which
+        # lies ahead of the window, and the window spans blocks 1 and 2
+        n = np.arange(1, 2 * CHUNK + 6, dtype=float)
         values = np.where(n % 2 == 0, 1.0 + 1e-5 / n, 0.5 + 0.3 / n)
-        sets = {np.count_nonzero(np.abs(values - center) < e) for e in DEFAULT_EPS_GRID}
-        scans = []
-        window_scan = density._window_scan
+        targets = IntervalUnion(((center, center),))
+        members = [targets.inflate(e).contains(values) for e in DEFAULT_EPS_GRID]
+        sets = {np.count_nonzero(member) for member in members}
+        contains, cumsums = [], []
+        real_contains, real_cumsum = IntervalUnion.contains, np.cumsum
         monkeypatch.setattr(
-            density,
-            "_window_scan",
-            lambda *args, **kwargs: scans.append(args) or window_scan(*args, **kwargs),
+            IntervalUnion, "contains", lambda *args: contains.append(1) or real_contains(*args)
         )
-        est = empirical_index(SequencePrefix(values), center)
-        assert len(scans) == len(sets) < len(DEFAULT_EPS_GRID)
+        monkeypatch.setattr(
+            np, "cumsum", lambda *args, **kwargs: cumsums.append(1) or real_cumsum(*args, **kwargs)
+        )
+        est = set_index(SequencePrefix(values), targets)
         monkeypatch.undo()
-        _assert_same(est, _finite_profile(values, center, DEFAULT_EPS_GRID, 0.5))
+        # each set's membership once per block, and one cumulative sum per
+        # distinct set and block of the window: a repeated set runs none
+        assert len(contains) == 3 * len(DEFAULT_EPS_GRID)
+        assert len(cumsums) == 2 * len(sets) < 2 * len(DEFAULT_EPS_GRID)
+        assert est.eps_profile == tuple(
+            (eps, lower_density_whole(member, 0.5)) for eps, member in zip(DEFAULT_EPS_GRID, members)
+        )
 
 
 def _long_prefix(seed):
@@ -527,3 +536,41 @@ class TestChunkedScans:
         assert [(c.center, c.count) for c in report.clusters] == [
             (float(np.mean(g)), g.size) for g in groups
         ]
+
+    @pytest.mark.parametrize("window", [0.5, 0.3])
+    def test_ties_split_across_block_edges(self, window):
+        # target 0, values 0 and 1 and planted distances that keep the sets
+        # of two neighbouring eps equal up to a later split
+        n = 3 * CHUNK + 5
+        head = math.ceil(n * window) - 1
+        values = np.where(np.arange(n) % 5 == 0, 1.0, 0.0)
+        # 0.5 and 0.1: equal through the first block and into the window,
+        # split in block 2
+        values[2 * CHUNK + 100 : 2 * CHUNK + 400 : 3] = 0.2
+        # 0.1 and 0.01: split only inside the window, in its first block
+        values[head + 10 : head + 300 : 2] = 0.02
+        # 0.01 and 1e-3: split in the last, 5-value block
+        values[3 * CHUNK + 1] = 0.002
+        # 1e-3 and 1e-4: never split; 1e-4 and 1e-5: split ahead of the window
+        values[head - 300 : head - 100] = 5e-5
+        grid = (0.5, 0.1, 0.01, 1e-3, 1e-4, 1e-5)
+        est = empirical_index(SequencePrefix(values), 0.0, grid, window=window)
+        dist = np.abs(values)
+        assert len({np.count_nonzero(dist < eps) for eps in grid}) == len(grid) - 1
+        assert est.eps_profile == tuple(
+            (eps, lower_density_whole(dist < eps, window)) for eps in grid
+        )
+
+    def test_extremes_in_the_windows_first_block(self):
+        # window 0.5 starts inside block 1; a run of members at its start
+        # puts the lowest and the highest running ratio in that block
+        n = 3 * CHUNK + 5
+        head = math.ceil(n / 2) - 1
+        member = np.arange(1, n + 1) % 3 == 0
+        member[head : head + 5000] = True
+        ratios = window_ratios_whole(member, 0.5)
+        for extreme in (np.argmin(ratios), np.argmax(ratios)):
+            assert CHUNK <= head + extreme < 2 * CHUNK
+        assert lower_density(member) == float(np.min(ratios))
+        assert upper_density(member) == float(np.max(ratios))
+        assert complement_identity_check(member)

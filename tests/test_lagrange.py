@@ -13,7 +13,6 @@ from jumpspectra.lagrange import (
     _EULER_BOOLE,
     _HEAD,
     ChebyshevGrid,
-    _brackets,
     _coincident_node,
     _general_sum as _library_general_sum,
     _location,
@@ -567,10 +566,16 @@ class TestStepSweep:
             assert value == pytest.approx(_general_sum(ChebyshevGrid(n), f, ratio), abs=1e-14)
 
     def test_gate_keeps_two_node_tolerances_from_a_node(self):
+        # a step at x0 just left of node k: off the node in node_offsets'
+        # terms either way, and served only past 2*NODE_ATOL
         n, k = 40, 13
         x_k = math.cos((2 * k - 1) * math.pi / (2 * n))
         for gap, inside in ((1.5e-13, False), (3e-13, True)):
-            assert _brackets(np.array([n]), np.array([k]), x_k - gap)[0] == inside
+            x0 = x_k - gap
+            ratio = math.acos(x0) / math.pi
+            assert not node_offsets(ratio, n, 0.5)[3]
+            served, _ = sweep(_step(x0, (0.0, 1.0), 0.3), 0, ratio, [n])
+            assert served[0] == inside
 
     def test_empty_orders(self):
         f = _step(0.5, (0.0, 1.0), 0.3)
