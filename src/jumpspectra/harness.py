@@ -22,11 +22,11 @@ rational, the float offset otherwise.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -414,33 +414,36 @@ def _run_columns(cfg: ExperimentConfig, ns: range, values) -> dict[str, list]:
     return {name: column.tolist() for name, column in columns.items()}
 
 
-def run_rows(cfg: ExperimentConfig, prefix: SequencePrefix) -> list[dict]:
-    """One row per n: the node offset, the node decision and the value.
-
-    The rows of the whole run are held at once, as write_run_json needs
-    them; write_run_csv builds its rows CHUNK orders at a time instead.
-    """
-    columns = _run_columns(cfg, cfg.ns(), prefix.values)
-    return [dict(zip(columns, row)) for row in zip(*columns.values())]
+def _write_rows(fh, cfg: ExperimentConfig, prefix: SequencePrefix, head, row, sep="") -> None:
+    """Write head(names), then one row per n, CHUNK orders at a time: each
+    block is one % call on row(names) repeated once per row, sep between
+    rows.  The cells are Python ints and finite floats (SequencePrefix
+    holds finite values only), which %r spells as csv and json do."""
+    ns = cfg.ns()
+    for lo, hi in blocks(0, len(ns)):
+        columns = _run_columns(cfg, ns[lo:hi], prefix.values[lo:hi])
+        names, cells = list(columns), tuple(chain.from_iterable(zip(*columns.values())))
+        rows = sep.join([row(names)] * (hi - lo)) % cells
+        fh.write((sep if lo else head(names)) + rows)
 
 
 def write_run_csv(cfg: ExperimentConfig, prefix: SequencePrefix, path) -> None:
-    """The rows of run_rows as CSV, built and written CHUNK orders at a time."""
-    ns = cfg.ns()
+    """One CSV row per n: the node offset, the node decision and the value."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for lo, hi in blocks(0, len(ns)):
-            columns = _run_columns(cfg, ns[lo:hi], prefix.values[lo:hi])
-            if lo == 0:
-                writer.writerow(columns)
-            writer.writerows(zip(*columns.values()))
+        _write_rows(fh, cfg, prefix, lambda names: ",".join(names) + "\r\n",
+                    lambda names: ",".join(["%r"] * len(names)) + "\r\n")
 
 
 def write_run_json(cfg: ExperimentConfig, prefix: SequencePrefix, path) -> None:
-    payload = {"config": cfg.to_dict(), "rows": run_rows(cfg, prefix)}
+    """{"config": ..., "rows": [one object per n]} in json.dump's indent=2 layout."""
+    head = json.dumps({"config": cfg.to_dict(), "rows": []}, indent=2).removesuffix("]\n}") + "\n"
+
+    def row(names):
+        return "    {\n" + ",\n".join(f'      "{name}": %r' for name in names) + "\n    }"
+
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        _write_rows(fh, cfg, prefix, lambda names: head, row, ",\n")
+        fh.write("\n  ]\n}\n")
 
 
 def write_comparison_json(cfg: ExperimentConfig, report: ComparisonReport, path) -> None:

@@ -7,7 +7,7 @@ side_sums_direct sums the Lagrange side terms one by one, as the sweep did
 before its Euler-Boole tails.  The whole-array oracles at the end hold
 every order or value at once, with the arithmetic that the block-wise
 library paths (shepard.step_sweep, the density window scans, the cluster
-gap cuts) must reproduce bit for bit.
+gap cuts, the run exports) must reproduce bit for bit.
 """
 
 import math
@@ -15,6 +15,7 @@ import math
 import numpy as np
 from scipy.special import digamma, zeta
 
+from jumpspectra.harness import _run_columns
 from jumpspectra.piecewise import n_array, node_offsets
 
 CHUNK = 1_000_000
@@ -137,3 +138,11 @@ def lower_density_whole(member, window):
 def gap_groups(sorted_values, gap):
     """The runs of sorted_values split where neighbours differ by more than gap."""
     return np.split(sorted_values, np.flatnonzero(np.diff(sorted_values) > gap) + 1)
+
+
+def run_rows(cfg, prefix):
+    """One dict per n of the whole run: n, the node offset, is_node and
+    value, the rows that write_run_csv and write_run_json write CHUNK
+    orders at a time."""
+    columns = _run_columns(cfg, cfg.ns(), prefix.values)
+    return [dict(zip(columns, row)) for row in zip(*columns.values())]

@@ -16,10 +16,10 @@ from jumpspectra.harness import (
     compare,
     ks_uniform_distance,
     predict,
-    run_rows,
     run_sequence,
     write_comparison_json,
     write_run_csv,
+    write_run_json,
 )
 from jumpspectra.density import (
     DEFAULT_STABILITY_TOL,
@@ -33,7 +33,7 @@ from jumpspectra.lagrange import ChebyshevGrid, lagrange_at_jump
 from jumpspectra.piecewise import ContinuousPart, from_steps, save_descriptor
 from jumpspectra.theory import Irrational
 
-from oracles import gap_groups, lower_density_whole, step_sweep_whole
+from oracles import gap_groups, lower_density_whole, run_rows, step_sweep_whole
 
 
 def lagrange_cfg(**kw):
@@ -347,6 +347,43 @@ class TestOutputs:
         write_run_csv(cfg, prefix, path)
         assert path.read_bytes() == expected
 
+    @pytest.mark.parametrize(
+        "location, rows",
+        [
+            (
+                Fraction(1, 3),
+                '    {\n      "n": 1,\n      "sigma_num": 1,\n      "sigma_den": 3,\n'
+                '      "is_node": 0,\n      "value": 0.7500000000000001\n    },\n'
+                '    {\n      "n": 21,\n      "sigma_num": 0,\n      "sigma_den": 1,\n'
+                '      "is_node": 1,\n      "value": 0.3\n    },\n'
+                '    {\n      "n": 41,\n      "sigma_num": 2,\n      "sigma_den": 3,\n'
+                '      "is_node": 0,\n      "value": 0.6666666666666666\n    },\n'
+                '    {\n      "n": 61,\n      "sigma_num": 1,\n      "sigma_den": 3,\n'
+                '      "is_node": 0,\n      "value": -1.5e-17\n    }\n',
+            ),
+            (
+                Irrational(math.sqrt(2) / 2),
+                '    {\n      "n": 1,\n      "sigma_float": 0.7071067811865476,\n'
+                '      "is_node": 0,\n      "value": 0.7500000000000001\n    },\n'
+                '    {\n      "n": 21,\n      "sigma_float": 0.8492424049174989,\n'
+                '      "is_node": 0,\n      "value": 0.3\n    },\n'
+                '    {\n      "n": 41,\n      "sigma_float": 0.9913780286484517,\n'
+                '      "is_node": 0,\n      "value": 0.6666666666666666\n    },\n'
+                '    {\n      "n": 61,\n      "sigma_float": 0.13351365237939916,\n'
+                '      "is_node": 0,\n      "value": -1.5e-17\n    }\n',
+            ),
+        ],
+        ids=["exact", "irrational"],
+    )
+    def test_json_bytes(self, tmp_path, location, rows):
+        # the config as json.dump writes it, then the hand-written rows
+        cfg = shepard_cfg(location=location, n_max=64, stride=20)
+        prefix = SequencePrefix(np.array([0.7500000000000001, 0.3, 2 / 3, -1.5e-17]))
+        path = tmp_path / "run.json"
+        write_run_json(cfg, prefix, path)
+        head = json.dumps({"config": cfg.to_dict()}, indent=2).removesuffix("\n}")
+        assert path.read_bytes() == (head + ',\n  "rows": [\n' + rows + "  ]\n}\n").encode()
+
     def test_rerun_bit_identical(self, tmp_path):
         cfg = shepard_cfg(location=Fraction(1, 3), n_max=120)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -355,9 +392,31 @@ class TestOutputs:
         assert a.read_bytes() == b.read_bytes()
 
 
+# the run exports at N = 200000 > CHUNK, so block edges fall inside the rows:
+# (flags, location, s, stride), s None for Lagrange (node offsets at shift
+# 1/2); the last location's numerators pass int64 from the third block on,
+# where node_offsets switches to object ints
+EXPORT_ARGV = ["run", "--n-max", "200000", "--d", "-0.25"]
+EXPORT_CASES = [
+    (["--operator", "shepard", "--x0-num", "1", "--x0-den", "3", "--s", "1"],
+     Fraction(1, 3), 1.0, 1),
+    (["--operator", "shepard", "--location", str(math.sqrt(2) / 2), "--irrational",
+      "--s", "2", "--stride", "3"], Irrational(math.sqrt(2) / 2), 2.0, 3),
+    (["--operator", "lagrange", "--theta-num", "1", "--theta-den", "3"], Fraction(1, 3), None, 1),
+    (["--operator", "lagrange", "--theta-num", str(3 * 10**13 + 1),
+      "--theta-den", str(9 * 10**13 + 7)], Fraction(3 * 10**13 + 1, 9 * 10**13 + 7), None, 1),
+]
+
+
+def _export_cfg(location, s, stride):
+    if s is None:
+        return lagrange_cfg(location=location, stride=stride, n_max=200_000, d=-0.25)
+    return shepard_cfg(location=location, s=s, stride=stride, n_max=200_000, d=-0.25)
+
+
 class TestLongPrefix:
     """The block-wise long-prefix paths against their whole-array definitions
-    at N = 10^6 and through the CLI's CSV export."""
+    at N = 10^6 and through the CLI's CSV and JSON exports."""
 
     @pytest.mark.parametrize("x0", [Fraction(1, 3), Fraction(2, 5)])
     def test_compare_matches_whole_array_paths(self, x0):
@@ -385,26 +444,26 @@ class TestLongPrefix:
         assert report.empirical.clusters == tuple(expected)
         assert report.passed
 
-    @pytest.mark.parametrize(
-        "flags, location, s, stride",
-        [
-            (["--x0-num", "1", "--x0-den", "3", "--s", "1"], Fraction(1, 3), 1.0, 1),
-            (["--location", str(math.sqrt(2) / 2), "--irrational", "--s", "2", "--stride", "3"],
-             Irrational(math.sqrt(2) / 2), 2.0, 3),
-        ],
-    )
+    @pytest.mark.parametrize("flags, location, s, stride", EXPORT_CASES)
     def test_csv_bytes_match_run_rows(self, tmp_path, flags, location, s, stride):
         # the CSV is written block by block; run_rows holds the whole run
         path = tmp_path / "run.csv"
-        argv = ["run", "--operator", "shepard", "--n-max", "200000", "--d", "-0.25", *flags]
-        assert main([*argv, "--format", "csv", "--out", str(path)]) == 0
-        cfg = shepard_cfg(location=location, s=s, stride=stride, n_max=200_000, d=-0.25)
+        assert main([*EXPORT_ARGV, *flags, "--format", "csv", "--out", str(path)]) == 0
+        cfg = _export_cfg(location, s, stride)
         rows = run_rows(cfg, run_sequence(cfg))
         expected = io.StringIO(newline="")
         writer = csv.writer(expected)
         writer.writerow(rows[0])
         writer.writerows(row.values() for row in rows)
         assert path.read_bytes() == expected.getvalue().encode()
+
+    @pytest.mark.parametrize("flags, location, s, stride", EXPORT_CASES)
+    def test_json_bytes_match_run_rows(self, tmp_path, flags, location, s, stride):
+        path = tmp_path / "run.json"
+        assert main([*EXPORT_ARGV, *flags, "--format", "json", "--out", str(path)]) == 0
+        cfg = _export_cfg(location, s, stride)
+        payload = {"config": cfg.to_dict(), "rows": run_rows(cfg, run_sequence(cfg))}
+        assert path.read_bytes() == (json.dumps(payload, indent=2) + "\n").encode()
 
 
 class TestRunRows:
@@ -421,9 +480,13 @@ class TestRunRows:
             ("shepard", Irrational(50002 / 100003), 100003),
         ],
     )
-    def test_rows_and_values_share_the_node_decision(self, operator, location, n_max):
+    def test_rows_and_values_share_the_node_decision(self, tmp_path, operator, location, n_max):
+        # the rows as the JSON export writes them
         cfg = ExperimentConfig(operator, location, d=0.3, n_max=n_max)
-        rows = run_rows(cfg, run_sequence(cfg))
+        path = tmp_path / "run.json"
+        write_run_json(cfg, run_sequence(cfg), path)
+        with open(path) as fh:
+            rows = json.load(fh)["rows"]
         assert [r["is_node"] for r in rows] == [int(r["value"] == 0.3) for r in rows]
         if isinstance(location, Fraction):
             shift = Fraction(1, 2) if operator == "lagrange" else 0

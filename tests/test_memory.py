@@ -2,8 +2,8 @@
 
 At N = 4*10^6 orders one float array is 32 MB.  compare holds the values
 and the sorted tail (48 MB) beside block-sized temporaries, so it must stay
-within two length-N arrays; the CSV export holds the values and one block
-of rows.
+within two length-N arrays; the CSV and JSON exports hold the values and
+one block of rows.
 """
 
 import os
@@ -33,8 +33,9 @@ S1 = ["--operator", "shepard", "--s", "1", "--x0-num", "1", "--x0-den", "3",
     [
         (["compare", *S1, "--gap", "0.15"], 64),
         (["run", *S1, "--format", "csv", "--out", os.devnull], 100),
+        (["run", *S1, "--format", "json", "--out", os.devnull], 100),
     ],
-    ids=["compare", "run-csv"],
+    ids=["compare", "run-csv", "run-json"],
 )
 def test_peak_growth_after_import(argv, limit_mb):
     path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
