@@ -202,25 +202,27 @@ def run_sequence(cfg: ExperimentConfig) -> SequencePrefix:
     """Operator values at the selected jump for n = 1, 1+stride, ...
 
     Pure and deterministic: the value at each position depends only on the
-    configuration.  Lagrange values come from one lagrange.sweep call, whose
+    configuration.  Shepard values come from one step_sweep call when f is
+    one jump on a constant base stored at the location, the default step
+    or a descriptor, and from shepard_at_jump per order otherwise.
+    Lagrange values come from one lagrange.sweep call, whose
     values equal lagrange_at_jump's at each n; the orders it does not serve
     (a trig base, n <= the degree of the polynomial base, a node near
     another jump) go through lagrange_at_jump one at a time.
     """
     f, i = cfg.resolved_fn()
     ns = cfg.ns()
+    ratio = cfg.location_ratio()
     if cfg.operator == SHEPARD:
-        if cfg.fn is None:
+        # step_sweep evaluates at the stored location, so a step stored at
+        # the location takes it, descriptor or not
+        if f.step_limits is not None and f.jumps[i].x == ratio:
             values = step_sweep(f, cfg.s, ns)
         else:
             values = np.array(
-                [
-                    shepard_at_jump(ShepardConfig(cfg.s, n), f, i, x0=cfg.location_ratio())
-                    for n in ns
-                ]
+                [shepard_at_jump(ShepardConfig(cfg.s, n), f, i, x0=ratio) for n in ns]
             )
         return SequencePrefix(values)
-    ratio = cfg.location_ratio()
     served, values = lagrange_sweep(f, i, ratio, ns)
     for row in np.flatnonzero(~served).tolist():
         values[row] = lagrange_at_jump(ChebyshevGrid(ns[row]), f, i, ratio)

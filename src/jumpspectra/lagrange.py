@@ -19,17 +19,22 @@ difference:
 
 Every weight is built from the two node gaps of theta: with
 theta_{k0} < theta < theta_{k0+1}, D = theta_{k0+1} - theta and
-D' = theta - theta_{k0}, both in (0, pi/n).  With h = pi/(2n),
+D' = theta - theta_{k0}, both in (0, pi/n).  With h = pi/(2n), the nodes
+on each side of theta, counted from theta outward by j, have
 
-    b_k = D/2 + (k-k0-1) h  (k > k0),    b_k = -(D'/2 + (k0-k) h)  (k <= k0),
+    |b_k| = x_j = gap/2 + j h,   j = k0 - k, gap = D'  (k <= k0),
+                                 j = k - k0 - 1, gap = D  (k > k0),
     cos(n theta) = (-1)^k0 sin(n min(D, D')),
 
-and a_k = theta + b_k up to k = n - k0, the last k with a_k < pi/2; past
-it a_k nears pi, and cot a_k = cot(b_k - (pi - theta)).  The full weight
-vector forms every b_k from the nearer of the two nodes, j, as
-(k - j) h + (theta_j - theta)/2, whose second term is at most h/2.  So no
-step loses more than half of its larger term, and a weight is as accurate
-as the gaps, however close theta sits to a node, to 0 or to pi.  The gaps
+so ell_{n,k} = sin(n min(D, D'))/(2n) * (-1)^j (cot x_j + cot(x_j - reach)),
+with the side's reach, which turns x_j into the other half-angle: -a_k on
+the shorter side, pi - a_k or a_k - pi on the longer (_reaches).  _terms
+computes that one term for the full weight vector, the head of _side_sums
+and the sweep's hit corrections alike, so a served order's head terms
+equal the full vector's bit for bit.  x_j is a sum of two nonnegative
+terms, and x_j - reach keeps at least half of reach (below), so no step
+loses more than half of its larger term, and a weight is as accurate as
+the gaps, however close theta sits to a node, to 0 or to pi.  The gaps
 come from node_offsets' decision (k0, sigma_n) on the ratio r = theta/pi,
 the one location unit of every entry point: on an exact ratio p/q from its
 integers, D' = pi num/(n den) and D = pi (den - num)/(n den); on a float
@@ -84,18 +89,20 @@ so on a side long enough to have a tail, L > _HEAD, that is _HEAD h too.
 
 sweep serves an order when f has no trig part, the domain holds [-1, 1],
 the degree len(poly) - 1 is below n, and one node-proximity test
-(_other_jump) passes at every location.  At x0 and at the stored location
-it finds k0 nodes right of the point and none within 2*NODE_ATOL of it,
-so nodes k0 and k0 + 1 enclose both with that to spare.  At each other
-jump every node is either more than 2*NODE_ATOL from it or within
-NODE_ATOL/2 of it (a hit, corrected with the side the sums gave that
-node).  Either way a last-place difference between two cosines cannot
-flip a node's side or its hit.  lagrange_at_jump runs a
-one-order sweep, so a sweep value equals the per-n value bit for bit;
-where the order is not served (trig bases, n <= deg p, a node between
-NODE_ATOL/2 and 2*NODE_ATOL of a jump) it takes the full weight vector
-against f at every node.  A grid computes its angles and nodes only when
-they are used.
+(_other_jump) passes at every stored jump location.  At the location of
+the evaluated jump it finds k0 nodes right of it and none within
+2*NODE_ATOL, so nodes k0 and k0 + 1 enclose it with that to spare.  x0
+itself takes no gate: node_offsets has decided it from the ratio, the
+weights come from the ratio's gaps, and x0 enters only through p(x0).  At
+each other jump every node is either more than 2*NODE_ATOL from it or
+within NODE_ATOL/2 of it (a hit, corrected with the side the sums gave
+that node).  Either way a last-place difference between two cosines
+cannot flip a node's side or its hit.  lagrange_at_jump runs a one-order
+sweep, so a sweep value equals the per-n value bit for bit; where the
+order is not served (trig bases, n <= deg p, a node between NODE_ATOL/2
+and 2*NODE_ATOL of a jump, or between x0 and the stored location) it
+takes the full weight vector against f at every node.  A grid computes
+its angles and nodes only when they are used.
 
 The node offset of a jump location x0 = cos(theta0) is
 sigma_n = frac(n*theta0/pi + 1/2), the fractional position of theta0 inside
@@ -227,32 +234,41 @@ def _location(ratio, n):
     return is_node, k0, after * scale, before * scale, math.pi * p / q, math.pi * (q - p) / q
 
 
-def _cot_sum(ab: np.ndarray) -> np.ndarray:
-    """cot a + cot b for the stacked half-angles ab = (a, b), written into a."""
-    np.tan(ab, out=ab)
-    np.divide(1.0, ab, out=ab)
-    ab[0] += ab[1]
-    return ab[0]
+def _reaches(n, k0, angle: float, supplement: float):
+    """The reaches of the sides k <= k0 and k > k0 (_side_sums) at the
+    orders n with node index k0: the shorter side takes -a_k, the longer
+    pi - a_k or a_k - pi."""
+    first = 2 * k0 <= n
+    return np.where(first, angle, -supplement), np.where(first, -angle, supplement)
+
+
+def _terms(n, gap, reach, j):
+    """(-1)^j (cot x_j + cot(x_j - reach)), x_j = gap/2 + j pi/(2n): the
+    j-th term of a side from x0 outward, which times
+    sin(n min(D, D'))/(2n) is the weight of its node (module docstring);
+    the arguments broadcast, and j is an integer array."""
+    x = j * (math.pi / (2 * n))
+    x += gap / 2
+    # in place: a sweep block's head is about 256 KB per array
+    shifted = x - reach
+    for cot in (x, shifted):
+        np.tan(cot, out=cot)
+        np.divide(1.0, cot, out=cot)
+    x += shifted
+    x *= np.where(j & 1, -1.0, 1.0)
+    return x
 
 
 def _weights(n: int, k0: int, gap: float, gap_before: float, angle: float, supplement: float):
     """(w, scale) with ell_{n,k} = scale * w[k-1], k = 1..n, at the angle
     with node index k0 and gaps D = gap and D' = gap_before (supplement =
     pi - angle); a caller that sums the weights against values scales the
-    sum."""
-    ab = np.empty((2, n))
-    a, b = ab[0], ab[1]
-    # b_k = (k - j) h + (theta_j - theta)/2 from the nearer node j, whose
-    # half-gap is at most h/2: every b_k keeps half its leading term
-    j, half_gap = (k0, -gap_before / 2) if gap_before <= gap else (k0 + 1, gap / 2)
-    np.multiply(np.arange(1 - j, n + 1 - j, dtype=float), math.pi / (2 * n), out=b)
-    b += half_gap
-    np.add(b, angle, out=a)
-    # a_k passes pi/2 after k = n - k0: there a_k - pi stands in for it
-    np.subtract(b[n - k0:], supplement, out=a[n - k0:])
-    weights = _cot_sum(ab)
-    # (-1)^(k-1) cos(n theta) = (-1)^(k0+k-1) sin(n min(D, D'))
-    weights[(k0 + 1) % 2::2] *= -1.0
+    sum.  Node k0 - j is term j of the side k <= k0 and node k0 + 1 + j
+    term j of the other."""
+    before, after = _reaches(n, k0, angle, supplement)
+    weights = np.empty(n)
+    weights[:k0] = _terms(n, gap_before, before, np.arange(k0 - 1, -1, -1))
+    weights[k0:] = _terms(n, gap, after, np.arange(n - k0))
     return weights, math.sin(n * min(gap, gap_before)) / (2 * n)
 
 
@@ -301,17 +317,18 @@ def fundamental_product_reference(grid: ChebyshevGrid, k: int, x: float) -> floa
 
 
 def _other_jump(n: np.ndarray, x: float):
-    """(count, hit, clear) for another jump, at x, in the grids of the orders n.
+    """(count, hit, clear) for a jump at x, in the grids of the orders n.
 
-    _sweep_block also reads it at x0 and at the stored location, where it
-    asks for count == k0, clear and no hit.  count is the number of nodes with x_k >= x, the nodes eval_many puts
-    right of the jump; hit is the index of a node within NODE_ATOL/2 of x,
-    which eval_many gives the jump's point value, or 0; clear is whether
-    every node is either such a hit or more than 2*NODE_ATOL from x (and no
-    two are hits).  Where clear holds, a last-place difference between these
-    cosines and grid.nodes' moves no node across x or into or out of
-    NODE_ATOL of it.  Only the nearest node angle and its two neighbours can
-    come that close, and every node before them lies right of x.
+    _sweep_block reads it at every stored jump location; at the evaluated
+    jump it asks for count == k0, clear and no hit.  count is the number of
+    nodes with x_k >= x, the nodes eval_many puts right of the jump; hit is
+    the index of a node within NODE_ATOL/2 of x, which eval_many gives the
+    jump's point value, or 0; clear is whether every node is either such a
+    hit or more than 2*NODE_ATOL from x (and no two are hits).  Where clear
+    holds, a last-place difference between these cosines and grid.nodes'
+    moves no node across x or into or out of NODE_ATOL of it.  Only the
+    nearest node angle and its two neighbours can come that close, and
+    every node before them lies right of x.
     """
     theta = math.acos(min(max(x, -1.0), 1.0))
     near = np.clip(np.rint(n * (theta / math.pi) + 0.5).astype(np.int64), 1, n)
@@ -325,13 +342,6 @@ def _other_jump(n: np.ndarray, x: float):
     clear = (on | ~(valid & (dist <= 2 * NODE_ATOL))).all(axis=0) & (on.sum(axis=0) <= 1)
     hit = np.where(on, k, 0).max(axis=0)
     return count, hit, clear
-
-
-def _side_terms(n, gap, reach, j):
-    """(-1)^j (cot x_j + cot(x_j - reach)), x_j = gap/2 + j pi/(2n): the
-    j-th term of a _side_sums row, for single terms."""
-    x = j * (math.pi / (2 * n)) + gap / 2
-    return (1.0 / np.tan(x) + 1.0 / np.tan(x - reach)) * np.where(j % 2, -1.0, 1.0)
 
 
 def _side_sums(n, gap, reach, cuts) -> np.ndarray:
@@ -353,13 +363,8 @@ def _side_sums(n, gap, reach, cuts) -> np.ndarray:
     step, start = math.pi / (2 * n), gap / 2
     bounds = np.column_stack((np.zeros(n.size, dtype=cuts.dtype), cuts))
     # the head, past a row's length too, where no segment reads it
-    xv = np.empty((2, n.size, _HEAD))
-    np.multiply(np.arange(_HEAD, dtype=float), step[:, None], out=xv[0])
-    xv[0] += start[:, None]
-    np.subtract(xv[0], reach[:, None], out=xv[1])
-    terms = _cot_sum(xv)
-    terms[:, 1::2] *= -1.0
     j = np.arange(_HEAD)
+    terms = _terms(n[:, None], gap[:, None], reach[:, None], j)
     sums = np.empty(cuts.shape)
     for c in range(cuts.shape[1]):
         part = np.where((bounds[:, c, None] <= j) & (j < bounds[:, c + 1, None]), terms, 0.0)
@@ -403,31 +408,30 @@ def _sweep_block(f: JumpFunction, i: int, n, k0, gap, gap_before, angle: float, 
     this is the one-side sum of a step, with its arithmetic:
     other + (summed - other) * S.
     """
-    x0 = math.cos(angle)
     served = len(f.base.poly) - 1 < n
-    # nodes k0 and k0 + 1 enclose x0 and the stored location, with no node
-    # within 2*NODE_ATOL of either (often the same double)
-    for x in {x0, f.jumps[i].x_float}:
-        count, hit, clear = _other_jump(n, x)
-        served &= (count == k0) & clear & (hit == 0)
     counts, hits = {}, {}
     for j, jump in enumerate(f.jumps):
-        if j != i:
-            counts[j], hits[j], clear = _other_jump(n, jump.x_float)
-            served &= clear
+        count, hit, clear = _other_jump(n, jump.x_float)
+        served &= clear
+        if j == i:
+            # nodes k0 and k0 + 1 enclose the stored location with no node
+            # within 2*NODE_ATOL of it
+            served &= (count == k0) & (hit == 0)
+        else:
+            counts[j], hits[j] = count, hit
     # a node that two jumps hit would take only one of their point values
     for hit, other_hit in itertools.combinations(hits.values(), 2):
         served &= (hit == 0) | (hit != other_hit)
     rows = np.flatnonzero(served)
     n, k0, gap, gap_before = n[rows], k0[rows], gap[rows], gap_before[rows]
-    jumps, levels = len(f.jumps), f.base(x0) + f.offsets
+    jumps, levels = len(f.jumps), f.base(math.cos(angle)) + f.offsets
     first = 2 * k0 <= n
     # the sides k <= k0 and k > k0, from x0 outward: whether each is the
     # shorter, its length, gap and reach, its cut at each other jump on it,
     # and the levels of its segments
     shorter = (first, ~first)
     lengths, gaps = (k0, n - k0), (gap_before, gap)
-    reaches = (np.where(first, angle, -supplement), np.where(first, -angle, supplement))
+    reaches = _reaches(n, k0, angle, supplement)
     jump_cuts = ([k0 - counts[j][rows] for j in range(i + 1, jumps)],
                  [counts[j][rows] - k0 for j in range(i - 1, -1, -1)])
     side_levels = (levels[i + 1:], levels[i::-1])
@@ -457,7 +461,7 @@ def _sweep_block(f: JumpFunction, i: int, n, k0, gap, gap_before, angle: float, 
         k, m = hit[rows][at], n[at]
         side = 0 if j > i else 1
         position = k0[at] - k if side == 0 else k - k0[at] - 1
-        weight = scale[at] * _side_terms(m, gaps[side][at], reaches[side][at], position)
+        weight = scale[at] * _terms(m, gaps[side][at], reaches[side][at], position)
         node = np.cos((2 * k - 1) * math.pi / (2 * m))
         given = f.base.eval_many(node) + f.offsets[np.where(k <= counts[j][rows][at], j + 1, j)]
         values[at] += weight * (f.jumps[j].value - given)
@@ -465,15 +469,9 @@ def _sweep_block(f: JumpFunction, i: int, n, k0, gap, gap_before, angle: float, 
 
 
 def _general_sum(grid: ChebyshevGrid, f: JumpFunction, k0, gap, gap_before, angle, supplement):
-    """The full weight vector against f at every node, off a node; a node
-    within NODE_ATOL of cos(angle) gets the cardinal weights, as in
-    fundamental_weights."""
-    values = f.eval_many(grid.nodes)
-    j = _coincident_node(grid, math.cos(angle), angle)
-    if j is not None:
-        return float(values[j])
+    """The full weight vector against f at every node, off a node."""
     weights, scale = _weights(grid.n, k0, gap, gap_before, angle, supplement)
-    return scale * float(weights @ values)
+    return scale * float(weights @ f.eval_many(grid.nodes))
 
 
 def lagrange_at_jump(

@@ -23,14 +23,16 @@ one site of both rules for that decision:
     4500.
 
 OFFSET_TOL is read only by node_offsets; the operators take its decision,
-k0 and sigma_n, and build their weights from it.
+k0 and sigma_n, and build their weights from it.  So node_offsets alone
+decides whether an operator's evaluation point is a node.
 
-NODE_ATOL is the other float tolerance, read only by the point values
-(eval_many, one_sided_limits) and by Lagrange's cardinal rule, with the
-one-side gate that keeps clear of both: a point within NODE_ATOL of a jump
-location or a grid node is that point, so a node computed through a
-different floating-point route still picks up the jump's point value or
-the cardinal weights.
+NODE_ATOL is the other float tolerance.  It is read only by the point
+values (eval_many, one_sided_limits), by Lagrange's cardinal rule in
+fundamental_weights, which takes an arbitrary x and no ratio to decide
+by, and by the sweeps' 2*NODE_ATOL gates, which keep clear of both: a
+point within NODE_ATOL of a jump location or a grid node is that point, so
+a node computed through a different floating-point route still picks up
+the jump's point value or the cardinal weights.
 
 Jump locations may be exact rationals (Fraction) or floats; the rational
 form is preserved so that downstream node-offset arithmetic stays exact.

@@ -35,7 +35,8 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import digamma, zeta
 
-from .piecewise import CHUNK, NODE_ATOL, JumpFunction, blocks, n_array, node_offsets
+from . import piecewise
+from .piecewise import NODE_ATOL, JumpFunction, blocks, n_array, node_offsets
 from .specfun import SHEPARD_S_MAX, SHEPARD_S_MIN
 
 
@@ -135,7 +136,7 @@ def step_sweep(f: JumpFunction, s: float, n_values) -> np.ndarray:
     tail = _tail(float(s))
     out = np.empty(len(n_values))
     heads, exact = None, isinstance(jump.x, Fraction)
-    if exact and jump.x.denominator <= min(out.size, CHUNK):
+    if exact and jump.x.denominator <= min(out.size, piecewise.CHUNK):
         # r/q and 1.0 - r/q are the doubles the per-order route forms;
         # (q - r)/q can round differently
         residue_sigma = np.arange(jump.x.denominator) / jump.x.denominator

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from jumpspectra import harness
+from jumpspectra import harness, piecewise
 from jumpspectra.cli import main
 from jumpspectra.harness import (
     ConfigError,
@@ -31,6 +31,7 @@ from jumpspectra.density import (
 )
 from jumpspectra.lagrange import ChebyshevGrid, lagrange_at_jump
 from jumpspectra.piecewise import ContinuousPart, from_steps, save_descriptor
+from jumpspectra.shepard import ShepardConfig, shepard_at_jump
 from jumpspectra.theory import Irrational
 
 from oracles import gap_groups, lower_density_whole, run_rows, step_sweep_whole
@@ -124,6 +125,30 @@ class TestRunSequence:
         monkeypatch.setattr(harness, "lagrange_at_jump", per_n)
         run_sequence(_two_jump_cfg(location, n_max=300))
         assert grids == at_jump == unserved
+
+    @pytest.mark.parametrize("location", [Fraction(1, 3), Irrational(math.sqrt(2) / 2)])
+    def test_shepard_descriptor_step_takes_the_step_sweep(self, location, monkeypatch):
+        # the default step rebuilt as a descriptor gives the default's values,
+        # within rounding of the per-order ones, with no per-order call
+        default = shepard_cfg(location=location, n_max=400)
+        cfg = shepard_cfg(location=location, n_max=400, fn=default.resolved_fn()[0])
+        calls = []
+
+        def per_n(*args, **kw):
+            calls.append(args[0].n)
+            return shepard_at_jump(*args, **kw)
+
+        monkeypatch.setattr(harness, "shepard_at_jump", per_n)
+        values = run_sequence(cfg).values
+        assert not calls
+        assert np.array_equal(values, run_sequence(default).values)
+        f, ratio = cfg.resolved_fn()[0], cfg.location_ratio()
+        expected = [shepard_at_jump(ShepardConfig(2.0, n), f, 0, x0=ratio) for n in cfg.ns()]
+        assert np.max(np.abs(values - expected)) <= 1e-15
+        # a linear base is not a step: one shepard_at_jump call per order
+        linear = from_steps(ContinuousPart((0.0, 1.0)), [(ratio, 1.0, 0.8)], (0.0, 1.0))
+        run_sequence(shepard_cfg(location=location, n_max=400, fn=linear))
+        assert calls == list(cfg.ns())
 
     def test_user_descriptor(self, tmp_path):
         f = from_steps(ContinuousPart((0.0,)), [(0.5, 1.0, 0.25)], (0.0, 1.0))
@@ -392,26 +417,44 @@ class TestOutputs:
         assert a.read_bytes() == b.read_bytes()
 
 
-# the run exports at N = 200000 > CHUNK, so block edges fall inside the rows:
-# (flags, location, s, stride), s None for Lagrange (node offsets at shift
-# 1/2); the last location's numerators pass int64 from the third block on,
-# where node_offsets switches to object ints
-EXPORT_ARGV = ["run", "--n-max", "200000", "--d", "-0.25"]
+# the run exports: (flags, location, s, stride), s None for Lagrange (node
+# offsets at shift 1/2); the last location's numerators pass int64 at
+# n = 154, where node_offsets switches to object ints
 EXPORT_CASES = [
     (["--operator", "shepard", "--x0-num", "1", "--x0-den", "3", "--s", "1"],
      Fraction(1, 3), 1.0, 1),
     (["--operator", "shepard", "--location", str(math.sqrt(2) / 2), "--irrational",
       "--s", "2", "--stride", "3"], Irrational(math.sqrt(2) / 2), 2.0, 3),
     (["--operator", "lagrange", "--theta-num", "1", "--theta-den", "3"], Fraction(1, 3), None, 1),
-    (["--operator", "lagrange", "--theta-num", str(3 * 10**13 + 1),
-      "--theta-den", str(9 * 10**13 + 7)], Fraction(3 * 10**13 + 1, 9 * 10**13 + 7), None, 1),
+    (["--operator", "lagrange", "--theta-num", str(3 * 10**16 + 1),
+      "--theta-den", str(9 * 10**16 + 7)], Fraction(3 * 10**16 + 1, 9 * 10**16 + 7), None, 1),
 ]
 
 
-def _export_cfg(location, s, stride):
+def _export(tmp_path, fmt, case, n_max):
+    """The bytes the CLI's run export writes, the config and run_rows'
+    rows of the same run."""
+    flags, location, s, stride = case
+    path = tmp_path / f"run.{fmt}"
+    argv = ["run", "--n-max", str(n_max), "--d", "-0.25", *flags, "--format", fmt]
+    assert main([*argv, "--out", str(path)]) == 0
     if s is None:
-        return lagrange_cfg(location=location, stride=stride, n_max=200_000, d=-0.25)
-    return shepard_cfg(location=location, s=s, stride=stride, n_max=200_000, d=-0.25)
+        cfg = lagrange_cfg(location=location, stride=stride, n_max=n_max, d=-0.25)
+    else:
+        cfg = shepard_cfg(location=location, s=s, stride=stride, n_max=n_max, d=-0.25)
+    return path.read_bytes(), cfg, run_rows(cfg, run_sequence(cfg))
+
+
+def _csv_bytes(rows) -> bytes:
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(rows[0])
+    writer.writerows(row.values() for row in rows)
+    return expected.getvalue().encode()
+
+
+def _json_bytes(cfg, rows) -> bytes:
+    return (json.dumps({"config": cfg.to_dict(), "rows": rows}, indent=2) + "\n").encode()
 
 
 class TestLongPrefix:
@@ -444,26 +487,31 @@ class TestLongPrefix:
         assert report.empirical.clusters == tuple(expected)
         assert report.passed
 
+    # each case on 300 orders in blocks of 1, 2 and 7 orders, so that block
+    # edges fall everywhere; the CSV and JSON are written block by block,
+    # and run_rows holds the whole run
     @pytest.mark.parametrize("flags, location, s, stride", EXPORT_CASES)
-    def test_csv_bytes_match_run_rows(self, tmp_path, flags, location, s, stride):
-        # the CSV is written block by block; run_rows holds the whole run
-        path = tmp_path / "run.csv"
-        assert main([*EXPORT_ARGV, *flags, "--format", "csv", "--out", str(path)]) == 0
-        cfg = _export_cfg(location, s, stride)
-        rows = run_rows(cfg, run_sequence(cfg))
-        expected = io.StringIO(newline="")
-        writer = csv.writer(expected)
-        writer.writerow(rows[0])
-        writer.writerows(row.values() for row in rows)
-        assert path.read_bytes() == expected.getvalue().encode()
+    def test_csv_bytes_match_run_rows(self, tmp_path, monkeypatch, flags, location, s, stride):
+        for chunk in (1, 2, 7):
+            monkeypatch.setattr(piecewise, "CHUNK", chunk)
+            written, _, rows = _export(tmp_path, "csv", (flags, location, s, stride), 300)
+            assert written == _csv_bytes(rows)
 
     @pytest.mark.parametrize("flags, location, s, stride", EXPORT_CASES)
-    def test_json_bytes_match_run_rows(self, tmp_path, flags, location, s, stride):
-        path = tmp_path / "run.json"
-        assert main([*EXPORT_ARGV, *flags, "--format", "json", "--out", str(path)]) == 0
-        cfg = _export_cfg(location, s, stride)
-        payload = {"config": cfg.to_dict(), "rows": run_rows(cfg, run_sequence(cfg))}
-        assert path.read_bytes() == (json.dumps(payload, indent=2) + "\n").encode()
+    def test_json_bytes_match_run_rows(self, tmp_path, monkeypatch, flags, location, s, stride):
+        for chunk in (1, 2, 7):
+            monkeypatch.setattr(piecewise, "CHUNK", chunk)
+            written, cfg, rows = _export(tmp_path, "json", (flags, location, s, stride), 300)
+            assert written == _json_bytes(cfg, rows)
+
+    # one case per format at N = 200000 > CHUNK, in the real blocks
+    def test_full_size_csv_bytes_match_run_rows(self, tmp_path):
+        written, _, rows = _export(tmp_path, "csv", EXPORT_CASES[0], 200_000)
+        assert written == _csv_bytes(rows)
+
+    def test_full_size_json_bytes_match_run_rows(self, tmp_path):
+        written, cfg, rows = _export(tmp_path, "json", EXPORT_CASES[1], 200_000)
+        assert written == _json_bytes(cfg, rows)
 
 
 class TestRunRows:

@@ -302,7 +302,7 @@ def _general_weights(grid, ratio):
 
 def _general_sum(grid, f, ratio):
     """The general path of lagrange_at_jump off a node: the weights against
-    f at every node, or f at a node within NODE_ATOL of x0."""
+    f at every node."""
     return _library_general_sum(grid, f, *_location(ratio, grid.n)[1:])
 
 
@@ -576,6 +576,43 @@ class TestStepSweep:
             assert not node_offsets(ratio, n, 0.5)[3]
             served, _ = sweep(_step(x0, (0.0, 1.0), 0.3), 0, ratio, [n])
             assert served[0] == inside
+
+    @pytest.mark.parametrize("two_jumps", [False, True])
+    def test_location_near_a_node_is_served_when_the_stored_jump_is_clear(self, two_jumps):
+        # x0 1.5e-13 left of node k, within 2*NODE_ATOL of it, and the jump
+        # stored 3e-13 left of it: node_offsets decides x0, and the gate
+        # reads the stored location only
+        n, k = 40, 13
+        x_k = math.cos((2 * k - 1) * math.pi / (2 * n))
+        ratio = math.acos(x_k - 1.5e-13) / math.pi
+        assert abs(math.cos(math.pi * ratio) - x_k) < 2 * NODE_ATOL
+        assert not node_offsets(ratio, n, 0.5)[3]
+        x_stored = x_k - 3e-13
+        if two_jumps:
+            steps = [(0.0, 1.0, 0.3), (x_stored, -0.5, 0.6)]
+            f = from_steps(ContinuousPart((0.0, 0.0, 1.0)), steps, (-1.0, 1.0))
+        else:
+            f = _step(x_stored, (0.0, 1.0), 0.3)
+        i = [j.x_float for j in f.jumps].index(x_stored)
+        served, values = sweep(f, i, ratio, [n])
+        assert served[0]
+        grid = ChebyshevGrid(n)
+        assert values[0] == lagrange_at_jump(grid, f, i, ratio)
+        tol = 1e-14 * (1 + np.abs(f.eval_many(grid.nodes)).max())
+        assert abs(values[0] - _general_sum(grid, f, ratio)) <= tol
+
+    @pytest.mark.parametrize("n, k, delta", [(1000, 300, 2e-14), (3000, 1000, 1e-14)])
+    def test_location_within_node_atol_of_a_node(self, n, k, delta):
+        # a float ratio whose x0 lies within NODE_ATOL of node k but off it
+        # by node_offsets: the weights give the value, not the node's
+        mpmath = pytest.importorskip("mpmath")
+        ratio = (2 * k - 1) / (2 * n) + delta
+        grid = ChebyshevGrid(n)
+        assert not node_offsets(ratio, n, 0.5)[3]
+        assert abs(math.cos(math.pi * ratio) - grid.nodes[k - 1]) < NODE_ATOL
+        f = _step(math.cos(math.pi * ratio), (0.0, 1.0), 0.3)
+        value = lagrange_at_jump(grid, f, 0, ratio)
+        assert abs(value - _exact_sum(mpmath, ratio, grid, f)) < 1e-15
 
     def test_empty_orders(self):
         f = _step(0.5, (0.0, 1.0), 0.3)
@@ -879,6 +916,36 @@ class TestSideSums:
         mpmath = pytest.importorskip("mpmath")
         exact = _exact_side_sums(mpmath, n, gap, reach, cuts)
         assert np.all(np.abs(sums - exact) <= 1e-15 * unit)
+
+    @pytest.mark.parametrize("ratio, n", [
+        (Fraction(1, 3), 100),
+        (Fraction(2, 3), 3000),
+        (Fraction(1, 1000), 3000),
+        (math.sqrt(2) - 1, 777),
+        (399 / 1554 + 1e-8, 777),
+        (0.999, 3000),
+    ])
+    def test_head_terms_are_the_general_weights(self, ratio, n):
+        # one term kernel: the head of each side's row, from x0 outward, is
+        # the full weight vector's, bit for bit; a second jump on the longer
+        # side makes sweep sum both sides
+        _, k0, gap, gap_before, angle, supplement = _location(ratio, n)
+        x0 = math.cos(angle)
+        other = math.cos((angle + math.pi) / 2 if 2 * k0 <= n else angle / 2)
+        f = from_steps(ContinuousPart((0.0, 1.0)), [(x0, 1.0, 0.3), (other, -0.5, 0.6)],
+                       (-1.0, 1.0))
+        terms, heads = lagrange._terms, []
+        with mock.patch.object(
+            lagrange, "_terms", side_effect=lambda *a: heads.append(terms(*a)) or heads[-1]
+        ):
+            served, _ = sweep(f, [j.x_float for j in f.jumps].index(x0), ratio, [n])
+        assert served[0]
+        weights, _ = _weights(n, k0, gap, gap_before, angle, supplement)
+        sides = (weights[:k0][::-1], weights[k0:])
+        assert heads[0].shape == (2, _HEAD)
+        for head, side in zip(heads[0], sides):
+            length = min(_HEAD, side.size)
+            assert np.array_equal(head[:length], side[:length])
 
     @pytest.mark.parametrize("two_jumps", [False, True])
     def test_a_full_block_equals_one_order_at_a_time(self, two_jumps):
