@@ -372,8 +372,11 @@ def _side_sums(n, gap, reach, cuts) -> np.ndarray:
             part = part[:, :part.shape[1] // 2] + part[:, part.shape[1] // 2:]
         sums[:, c] = part[:, 0]
     # the tail: (-1)^e (g + sum_k e_k h^k g^(k)) at x_e, for every bound e
-    # moved up to _HEAD, halved and differenced across each segment
+    # moved up to _HEAD, halved and differenced across each segment; rows
+    # no longer than _HEAD have none
     rows = np.flatnonzero(cuts[:, -1] > _HEAD)
+    if not rows.size:
+        return sums
     ends = np.maximum(bounds[rows], _HEAD)
     h = step[rows, None]
     x = ends * h + start[rows, None]

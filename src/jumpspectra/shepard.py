@@ -21,10 +21,29 @@ constant-base function for a whole range of n at once.  It rearranges the
 weighted sum by factoring n^s out of the weights: with sigma = frac(n x0)
 the numerator and denominator reduce to the partial sums
 A = sum_{m=0}^{k0} (sigma+m)^(-s) and B = sum_{m=0}^{n-k0-1} (1-sigma+m)^(-s),
-so S = (left*A + right*B)/(A+B).  Each partial sum is a difference of two
-tails, sum_{m=0}^{M-1} (c+m)^(-s) = H(c) - H(c+M), with H = -digamma for
-s = 1 and H = zeta(s, .) for s > 1, so the sweep is O(1) per n for every
-s; the rearrangement is equality-tested against shepard_eval.
+so S = (left*A + right*B)/(A+B).  Each is a partial sum
+P(c, M) = sum_{m=0}^{M-1} (c+m)^(-s), with c = sigma or 1 - sigma in (0, 1)
+and M = k0 + 1 or n - k0 >= 1, and step_sweep takes it in O(1) per order.
+For s = 1 it is the difference of two tails, H(c) - H(c+M), with
+H = -digamma.  For s > 1 its first _HEAD = 16 terms are summed directly.
+Past them, Euler-Maclaurin summation gives the terms 16 <= m < M, with
+a = c + 16 and b = c + M, as
+
+    int_a^b x^(-s) dx + G(a) - G(b),
+    G(x) = x^(-s) (1/2 + sum_{k=1}^{6} B_2k/(2k)! (s)_(2k-1) x^(1-2k)),
+
+with B_2k = 1/6, -1/30, 1/42, -1/30, 5/66, -691/2730 (the Bernoulli
+numbers) and (s)_j = s (s+1) ... (s+j-1).  The integral is taken as
+a^(1-s) (-expm1(-(s-1) log1p((M-16)/a)))/(s-1), which has no pole at s = 1:
+as s -> 1 it tends to log(b/a) with nothing to cancel, where the difference
+of two zeta(s, .) tails loses about 1e-16/(s-1) to their 1/(s-1) poles.
+Every derivative of x^(-s) keeps one sign and shrinks in magnitude, so the
+remainder is smaller than the first term left out,
+|B_14|/14! (s)_13 a^(-s-13); at a > 16 that is below 1.3e-18 for every s in
+(1, 20], while the sum is at least its first term c^(-s) >= 1.  What is
+left is rounding: against 40-digit sums the kernel is within 6e-16
+relative for s from 1 + 1e-12 to 20, c in (1e-3, 1) and M up to 10^6.  The
+rearrangement is equality-tested against shepard_eval.
 """
 
 from __future__ import annotations
@@ -33,11 +52,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import digamma, zeta
+from scipy.special import digamma
 
 from . import piecewise
 from .piecewise import NODE_ATOL, JumpFunction, blocks, n_array, node_offsets
 from .specfun import SHEPARD_S_MAX, SHEPARD_S_MIN
+
+# step_sweep's direct terms per partial sum, and B_2k/(2k)! for k = 1..6,
+# the Euler-Maclaurin terms of the rest (module docstring)
+_HEAD = 16
+_BERNOULLI = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160, -691 / 1307674368000)
 
 
 @dataclass(frozen=True)
@@ -92,11 +116,60 @@ def shepard_at_jump(cfg: ShepardConfig, f: JumpFunction, jump_index: int, x0=Non
     return _offset_sum(cfg, f, k0, num, den)
 
 
-def _tail(s: float):
-    """H with sum_{m=0}^{M-1} (c+m)^(-s) = H(c) - H(c+M)."""
+def _bernoulli_terms(s: float) -> tuple[float, ...]:
+    """B_2k/(2k)! (s)_(2k-1) for k = 1..6, (s)_j the rising factorial."""
+    rising, out = s, []
+    for k, b in enumerate(_BERNOULLI):
+        out.append(b * rising)
+        rising *= (s + 2 * k + 1) * (s + 2 * k + 2)
+    return tuple(out)
+
+
+def _boundary(terms, power, inv):
+    """G(x) = x^(-s) (1/2 + sum_k B_2k/(2k)! (s)_(2k-1) x^(1-2k)), from
+    power = x^(-s) and inv = 1/x."""
+    square, p = inv * inv, terms[-1]
+    for term in terms[-2::-1]:
+        p = p * square + term
+    return power * (0.5 + inv * p)
+
+
+def _heads(s: float, c):
+    """What the partial sums sum_{m<M} (c+m)^(-s) need of each c alone.
+
+    For s = 1, the tail -digamma(c).  For s > 1, the running sums of the
+    first _HEAD terms (row j - 1 holds the sum of j terms, one column per
+    c), a = c + _HEAD, a^(1-s) and G(a).
+    """
     if s == 1.0:
-        return lambda c: -digamma(c)
-    return lambda c: zeta(s, c)
+        return -digamma(c)
+    x = np.arange(_HEAD + 1.0)[:, None] + c
+    a = x[-1].copy()
+    # the powers replace the bases, so the heads hold one (_HEAD + 1) x len(c)
+    # array: about 9 MB per side for a CHUNK-long block
+    powers = np.power(x, -s, out=x)
+    power, running = powers[-1], powers[:-1]
+    for j in range(1, _HEAD):
+        running[j] += running[j - 1]
+    return running, a, a * power, _boundary(_bernoulli_terms(s), power, 1.0 / a)
+
+
+def _partial_sums(s: float, heads, rows, m, end):
+    """sum_{j<m} (c+j)^(-s) for each order: its c is entry rows of heads
+    (_heads), m >= 1 its number of terms and end = c + m."""
+    if s == 1.0:
+        return heads[rows] + digamma(end)
+    running, a, a_power, boundary = heads
+    a, a_power = a[rows], a_power[rows]
+    head = running[np.minimum(m, _HEAD).astype(int) - 1, rows]
+    # the integral from a to end, a^(1-s) (1 - (end/a)^(1-s))/(s-1), with
+    # u = (end/a)^(1-s) - 1 from expm1 so that it holds as s -> 1
+    u = np.expm1((1.0 - s) * np.log1p((m - _HEAD) / a))
+    inv = 1.0 / end
+    # end^(-s) = a^(1-s) (1 + u) / end
+    end_boundary = _boundary(_bernoulli_terms(s), a_power * (1.0 + u) * inv, inv)
+    tail = a_power * (-u / (s - 1.0)) + boundary[rows] - end_boundary
+    return head + np.where(m > _HEAD, tail, 0.0)
 
 
 def step_sweep(f: JumpFunction, s: float, n_values) -> np.ndarray:
@@ -114,16 +187,16 @@ def step_sweep(f: JumpFunction, s: float, n_values) -> np.ndarray:
     the number of orders.
 
     On an exact location p/q with q no larger than the number of orders
-    and than CHUNK, sigma = r/q takes only q values, so the two head tails
-    H(sigma) and H(1 - sigma) come from one table per residue r; otherwise
-    each order takes its four tails.  Both routes give the same doubles.
-    An order with a node within 2*NODE_ATOL of x0 that is not x0 itself
-    goes to shepard_at_jump: eval_many may give that node the jump's point
-    value, and its sigma may round to 0 or 1.
+    and than CHUNK, sigma = r/q takes only q - 1 values off a node, so what
+    the two partial sums need of sigma and of 1 - sigma alone (the s = 1
+    tails, or the 16 direct terms and G(c + 16) for s > 1) comes from one
+    table per residue r; otherwise each order computes its own.  Both
+    routes give the same doubles.  An order with a node within 2*NODE_ATOL
+    of x0 that is not x0 itself goes to shepard_at_jump: eval_many may give
+    that node the jump's point value, and its sigma may round to 0 or 1.
 
-    For s > 1 each tail zeta(s, c) carries the 1/(s-1) pole, which cancels
-    in the difference, so the absolute error grows roughly as 4e-17/(s-1),
-    up to about 4e-11 at s = 1 + 1e-6 and 4e-8 at s = 1 + 1e-9 for n <= 10^4.
+    Each partial sum is within about 6e-16 relative of the exact sum for
+    every s in the box, s just above 1 included (module docstring).
     """
     limits = f.step_limits
     if limits is None:
@@ -132,15 +205,14 @@ def step_sweep(f: JumpFunction, s: float, n_values) -> np.ndarray:
         raise ValueError(
             f"s={s} outside supported box [{SHEPARD_S_MIN}, {SHEPARD_S_MAX}]"
         )
-    jump = f.jumps[0]
-    tail = _tail(float(s))
+    jump, s = f.jumps[0], float(s)
     out = np.empty(len(n_values))
-    heads, exact = None, isinstance(jump.x, Fraction)
+    table, exact = None, isinstance(jump.x, Fraction)
     if exact and jump.x.denominator <= min(out.size, piecewise.CHUNK):
-        # r/q and 1.0 - r/q are the doubles the per-order route forms;
-        # (q - r)/q can round differently
-        residue_sigma = np.arange(jump.x.denominator) / jump.x.denominator
-        heads = tail(residue_sigma), tail(1.0 - residue_sigma)
+        # r/q and 1.0 - r/q, r = 1..q-1, are the doubles the per-order route
+        # forms off a node; (q - r)/q can round differently
+        residue_sigma = np.arange(1, jump.x.denominator) / jump.x.denominator
+        table = _heads(s, residue_sigma), _heads(s, 1.0 - residue_sigma)
     for lo, hi in blocks(0, out.size):
         orders = n_array(n_values[lo:hi])
         k0, num, den, node = node_offsets(jump.x, orders, 0)
@@ -155,13 +227,13 @@ def step_sweep(f: JumpFunction, s: float, n_values) -> np.ndarray:
         num, k0, n = num[live], k0[live].astype(float), orders[live].astype(float)
         # asarray turns the Python-int quotients of a large p/q into doubles
         sigma = np.asarray(num / den, dtype=float)
-        if heads is None:
-            head_a, head_b = tail(sigma), tail(1.0 - sigma)
-        else:
-            residue = num.astype(int)
-            head_a, head_b = heads[0][residue], heads[1][residue]
-        a = head_a - tail(sigma + k0 + 1.0)
-        b = head_b - tail(n - k0 + 1.0 - sigma)
+        # per-order heads live for one call each: one side's at a time, and
+        # none through the hand-off below
+        rows = np.arange(sigma.size) if table is None else num.astype(int) - 1
+        a = _partial_sums(s, table[0] if table else _heads(s, sigma), rows,
+                          k0 + 1.0, sigma + k0 + 1.0)
+        b = _partial_sums(s, table[1] if table else _heads(s, 1.0 - sigma), rows,
+                          n - k0, n - k0 + 1.0 - sigma)
         block = out[lo:hi]
         block[:] = jump.value
         block[live] = (limits[0] * a + limits[1] * b) / (a + b)

@@ -917,6 +917,16 @@ class TestSideSums:
         exact = _exact_side_sums(mpmath, n, gap, reach, cuts)
         assert np.all(np.abs(sums - exact) <= 1e-15 * unit)
 
+    @pytest.mark.parametrize("length", [1, 2, _HEAD // 2, _HEAD])
+    def test_short_rows_skip_the_tail(self, length):
+        # no row longer than _HEAD: the head alone gives the sums, and no
+        # Euler-Boole term is read
+        n, gap, reach, cuts = _side_rows(length, length // 2)
+        with mock.patch.object(lagrange, "_EULER_BOOLE", None):
+            sums = _side_sums(n, gap, reach, cuts)
+        direct = side_sums_direct(n, gap, reach, cuts)
+        assert np.all(np.abs(sums - direct) <= 1e-15 * _first_term(gap, reach))
+
     @pytest.mark.parametrize("ratio, n", [
         (Fraction(1, 3), 100),
         (Fraction(2, 3), 3000),

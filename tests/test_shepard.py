@@ -39,6 +39,38 @@ def _exact_sum(mpmath, cfg, f, x):
         return float(mpmath.fsum(w * v for w, v in zip(weights, values)) / mpmath.fsum(weights))
 
 
+def _exact_step_value(mpmath, f, s, n):
+    """S_{n,s} f at the jump of a step from 40-digit partial sums A and B,
+    at the offset node_offsets gives: r/q exactly at p/q, the double at a
+    float location."""
+    jump, (left, right) = f.jumps[0], f.step_limits
+    k0, num, den, is_node = node_offsets(jump.x, n, 0)
+    if is_node:
+        return jump.value
+    with mpmath.workdps(40):
+        s, sigma = mpmath.mpf(s), mpmath.mpf(num) / den
+        a = mpmath.zeta(s, sigma) - mpmath.zeta(s, sigma + k0 + 1)
+        b = mpmath.zeta(s, 1 - sigma) - mpmath.zeta(s, 1 - sigma + n - k0)
+        return float((left * a + right * b) / (a + b))
+
+
+@st.composite
+def _exponents(draw):
+    """s - 1 log-uniform in [1e-12, 1e-2], or s uniform in (1, 20]."""
+    if draw(st.booleans()):
+        return 1.0 + 10.0 ** draw(st.floats(min_value=-12.0, max_value=-2.0))
+    return draw(st.floats(min_value=1.0, max_value=20.0, exclude_min=True))
+
+
+@st.composite
+def _locations(draw):
+    """An exact p/q with q <= 50, or a float in (0, 1)."""
+    if draw(st.booleans()):
+        q = draw(st.integers(min_value=2, max_value=50))
+        return Fraction(draw(st.integers(min_value=1, max_value=q - 1)), q)
+    return draw(st.floats(min_value=1e-3, max_value=1 - 1e-3))
+
+
 class TestEval:
     def test_constant_reproduced(self):
         f = JumpFunction(ContinuousPart((2.75,)), (), (0.0, 1.0))
@@ -174,13 +206,34 @@ class TestAtJump:
 
 
 class TestStepSweep:
-    @pytest.mark.parametrize("s", [1.0, 1.000001, 1.01, 2.0, 3.5, 20.0])
+    @pytest.mark.parametrize("s", [1.0, 1.000001, 1.01, 2.0, 3.5, 20.0, 1 + 1e-9, 1 + 1e-12])
     def test_matches_direct_eval_rational(self, s):
-        values = step_sweep(H_THIRD, s, range(1, 400))
-        for n in (2, 7, 50, 333, 399):
+        # up to n = 10^4, where next to the pole at s = 1 a difference of
+        # two zeta tails would lose about 1e-16/(s-1)
+        values = step_sweep(H_THIRD, s, range(1, 10_001))
+        for n in (2, 7, 50, 333, 399, 1000, 3001, 9997, 9998, 10_000):
             cfg = ShepardConfig(s, n)
             direct = shepard_at_jump(cfg, H_THIRD, 0)
-            assert values[n - 1] == pytest.approx(direct, abs=1e-10)
+            assert values[n - 1] == pytest.approx(direct, abs=1e-14)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        s=_exponents(),
+        x0=_locations(),
+        n_max=st.integers(min_value=1, max_value=10_000),
+        picks=st.lists(st.integers(min_value=1, max_value=10_000), min_size=1, max_size=4),
+        d=st.floats(min_value=-2.0, max_value=2.0),
+    )
+    def test_matches_a_40_digit_sum(self, s, x0, n_max, picks, d):
+        mpmath = pytest.importorskip("mpmath")
+        h = pure_step(x0, d, "left1_right0", (0.0, 1.0))
+        values = step_sweep(h, s, range(1, n_max + 1))
+        bound = 1e-14 * (1 + max(abs(v) for v in h.step_limits + (d,)))
+        for n in {n_max, *(1 + (p - 1) % n_max for p in picks)}:
+            assert abs(values[n - 1] - _exact_step_value(mpmath, h, s, n)) <= 1e-13
+            if s >= 1.01:
+                direct = shepard_at_jump(ShepardConfig(s, n), h, 0)
+                assert abs(values[n - 1] - direct) <= bound
 
     def test_matches_direct_eval_float(self):
         x0 = math.sqrt(2) / 2
