@@ -52,7 +52,6 @@ import numpy as np
 NODE_ATOL = 1e-13
 OFFSET_TOL = 1e-12
 _INT64_MAX = np.iinfo(np.int64).max
-_EPS = float(np.finfo(float).eps)
 
 #: length of the blocks that the long-prefix paths (shepard.step_sweep, the
 #: density scans, the CSV export) work in, so that their temporaries follow
@@ -90,9 +89,7 @@ def node_offsets(ratio, n, shift):
     nearest integer.  A Fraction ratio p/q gives integers with den = q or
     2q and is_node = (num == 0); when the numerator of t_n could pass int64,
     the arithmetic runs on Python ints (object arrays).  A float ratio gives
-    den = 1 and the tolerance rule of the policy above, in plain floats for
-    an int n (one order costs about a microsecond, not numpy's scalar
-    overhead) with the same arithmetic as for an array.
+    den = 1 and the tolerance rule of the policy above.
     """
     if not 0 <= ratio <= 1:
         raise ValueError("location ratio must lie in [0, 1]")
@@ -109,15 +106,9 @@ def node_offsets(ratio, n, shift):
         num = t % (m * q)
         return t // (m * q), num, m * q, num == 0
     t = n * float(ratio) + shift
-    if not isinstance(n, np.ndarray):
-        k0 = math.floor(t)
-        num = t - k0
-        if min(num, 1.0 - num) < max(OFFSET_TOL, 4 * _EPS * t):
-            return k0 + (num > 0.5), 0.0, 1, True
-        return k0, num, 1, False
     k0 = np.floor(t)
     num = t - k0
-    is_node = np.minimum(num, 1.0 - num) < np.maximum(OFFSET_TOL, 4 * _EPS * t)
+    is_node = np.minimum(num, 1.0 - num) < np.maximum(OFFSET_TOL, 4 * np.finfo(float).eps * t)
     k0 = (k0 + (is_node & (num > 0.5))).astype(int)
     return k0, np.where(is_node, 0.0, num), 1, is_node
 

@@ -8,18 +8,17 @@ before its Euler-Boole tails.  The whole-array oracles at the end hold
 every order or value at once, with the arithmetic that the block-wise
 library paths (shepard.step_sweep, the density window scans, the cluster
 gap cuts, the run exports) must reproduce bit for bit; for s > 1 the step
-sweep's oracle takes the library's partial-sum kernel, whose accuracy
-test_shepard checks against 40-digit sums.
+sweep's oracle keeps the scipy zeta tails that the sweep no longer uses,
+so the two agree only to the tails' rounding.
 """
 
 import math
 
 import numpy as np
-from scipy.special import digamma
+from scipy.special import digamma, zeta
 
 from jumpspectra.harness import _run_columns
 from jumpspectra.piecewise import n_array, node_offsets
-from jumpspectra.shepard import _heads, _partial_sums
 
 CHUNK = 1_000_000
 
@@ -107,22 +106,21 @@ def side_sums_direct(n, gap, reach, cuts):
 
 
 def step_sweep_whole(f, s, n_values):
-    """shepard.step_sweep over all orders in one array: four digamma tails
-    per order for s = 1, and for s > 1 each order's partial sums from the
-    heads of its own sigma, with no residue table."""
+    """shepard.step_sweep over all orders in one array, four tails per order:
+    -digamma for s = 1 (the sweep's doubles) and scipy zeta for s > 1
+    (within about 1e-16/(s-1) of the sweep's partial-sum kernel)."""
     limits, jump = f.step_limits, f.jumps[0]
     n = n_array(n_values)
     k0, num, den, node = node_offsets(jump.x, n, 0)
     live = ~node
     sigma = np.asarray(num[live] / den, dtype=float)
-    k0, n, s = k0[live].astype(float), n[live].astype(float), float(s)
-    if s == 1.0:
-        a = -digamma(sigma) - -digamma(sigma + k0 + 1.0)
-        b = -digamma(1.0 - sigma) - -digamma(n - k0 + 1.0 - sigma)
-    else:
-        rows = np.arange(sigma.size)
-        a = _partial_sums(s, _heads(s, sigma), rows, k0 + 1.0, sigma + k0 + 1.0)
-        b = _partial_sums(s, _heads(s, 1.0 - sigma), rows, n - k0, n - k0 + 1.0 - sigma)
+    k0, n = k0[live].astype(float), n[live].astype(float)
+
+    def tail(c):
+        return -digamma(c) if s == 1.0 else zeta(s, c)
+
+    a = tail(sigma) - tail(sigma + k0 + 1.0)
+    b = tail(1.0 - sigma) - tail(n - k0 + 1.0 - sigma)
     out = np.full(node.size, jump.value)
     out[live] = (limits[0] * a + limits[1] * b) / (a + b)
     return out

@@ -289,23 +289,6 @@ class TestNodeOffsets:
         assert is_node_f.tolist() == is_node.tolist()
         assert k0_f.tolist() == k0.tolist()
 
-    @settings(max_examples=300, deadline=None)
-    @given(
-        n=st.integers(min_value=1, max_value=10**6),
-        k_seed=st.integers(min_value=0, max_value=10**6),
-        half=st.sampled_from([-0.5, 0.0, 0.5]),
-        offset=st.floats(min_value=-1e-12, max_value=1e-12),
-        shift=st.sampled_from([0, 0.5]),
-    )
-    def test_scalar_float_path_matches_the_array_path(self, n, k_seed, half, offset, shift):
-        # ratios within 1e-12 of k/n, a node or a near-node by the tolerance
-        # rule, and of (k +- 1/2)/n, where sigma is near 1/2
-        ratio = min(max((k_seed % (n + 1) + half) / n + offset, 0.0), 1.0)
-        k0, num, den, is_node = node_offsets(ratio, np.array([n]), shift)
-        scalar = node_offsets(ratio, n, shift)
-        assert scalar == (k0[0], num[0], den, is_node[0])
-        assert (type(scalar[0]), type(scalar[1]), type(scalar[3])) == (int, float, bool)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             node_offsets(Fraction(4, 3), 5, 0)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jumpspectra import piecewise
 from jumpspectra.piecewise import (
     CHUNK,
     ContinuousPart,
@@ -47,6 +48,8 @@ def _exact_step_value(mpmath, f, s, n):
     k0, num, den, is_node = node_offsets(jump.x, n, 0)
     if is_node:
         return jump.value
+    # a float location gives numpy scalars, which mpf does not take
+    k0, num = int(k0), np.asarray(num).item()
     with mpmath.workdps(40):
         s, sigma = mpmath.mpf(s), mpmath.mpf(num) / den
         a = mpmath.zeta(s, sigma) - mpmath.zeta(s, sigma + k0 + 1)
@@ -338,7 +341,17 @@ class TestStepSweep:
 
 
 class TestChunkedSweep:
-    """step_sweep against the whole-array sweep, across the block edges."""
+    """step_sweep against the whole-array sweep, across the block edges.
+
+    For s = 1 the oracle's digamma tails give the sweep's doubles.  For
+    s > 1 its scipy zeta tails are arithmetic independent of the sweep's
+    partial-sum kernel; each tail difference loses about 1e-16/(s-1) to the
+    tails' poles, and at s >= 1.5 the two differ by at most 4.4e-16 on these
+    cases, so they are compared within ZETA_TOL.  The block loop and the
+    residue table are checked bit for bit by one block over every order.
+    """
+
+    ZETA_TOL = 1e-14
 
     ORDERS = [
         range(1, 2 * CHUNK + 5),
@@ -354,9 +367,17 @@ class TestChunkedSweep:
     @pytest.mark.parametrize("orders", ORDERS, ids=["range", "stride", "list", "long-list"])
     @pytest.mark.parametrize("x0", LOCATIONS, ids=str)
     @pytest.mark.parametrize("s", [1.0, 1.5, 2.0, 5.0])
-    def test_matches_whole_array_sweep(self, orders, x0, s):
+    def test_matches_whole_array_sweep(self, orders, x0, s, monkeypatch):
         h = pure_step(x0, -0.25, "left1_right0", (0.0, 1.0))
-        assert np.array_equal(step_sweep(h, s, orders), step_sweep_whole(h, s, orders))
+        values, whole = step_sweep(h, s, orders), step_sweep_whole(h, s, orders)
+        if s == 1.0:
+            assert np.array_equal(values, whole)
+        else:
+            assert np.max(np.abs(values - whole)) <= self.ZETA_TOL
+        # one block holds every order, and a q up to the number of orders
+        # takes the residue table
+        monkeypatch.setattr(piecewise, "CHUNK", len(orders))
+        assert np.array_equal(values, step_sweep(h, s, orders))
 
     @pytest.mark.parametrize("q, ps, s", [(3, (1, 2), 2.0), (5, (1, 2, 3, 4), 3.0)])
     def test_benchmark_steps_match_whole_array_sweep(self, q, ps, s):
@@ -364,7 +385,8 @@ class TestChunkedSweep:
         for p in ps:
             h = pure_step(Fraction(p, q), 0.3, "left1_right0", (0.0, 1.0))
             orders = range(1, 10_001)
-            assert np.array_equal(step_sweep(h, s, orders), step_sweep_whole(h, s, orders))
+            values = step_sweep(h, s, orders)
+            assert np.max(np.abs(values - step_sweep_whole(h, s, orders))) <= self.ZETA_TOL
 
     @pytest.mark.parametrize("x0", [math.sqrt(2) - 1, math.sqrt(2) / 2, (math.sqrt(5) - 1) / 2,
                                     (3 - math.sqrt(5)) / 2, math.sqrt(3) - 1, math.sqrt(3) / 3,
@@ -374,7 +396,8 @@ class TestChunkedSweep:
         h = pure_step(x0, 0.3, "left1_right0", (0.0, 1.0))
         for s in (2.0, 5.0):
             orders = range(1, 5001)
-            assert np.array_equal(step_sweep(h, s, orders), step_sweep_whole(h, s, orders))
+            values = step_sweep(h, s, orders)
+            assert np.max(np.abs(values - step_sweep_whole(h, s, orders))) <= self.ZETA_TOL
 
 
 class TestS1Excursions:
