@@ -29,10 +29,12 @@ decides whether an operator's evaluation point is a node.
 NODE_ATOL is the other float tolerance.  It is read only by the point
 values (eval_many, one_sided_limits), by Lagrange's cardinal rule in
 fundamental_weights, which takes an arbitrary x and no ratio to decide
-by, and by the sweeps' 2*NODE_ATOL gates, which keep clear of both: a
-point within NODE_ATOL of a jump location or a grid node is that point, so
-a node computed through a different floating-point route still picks up
-the jump's point value or the cardinal weights.
+by, and by the Lagrange sweep's 2*NODE_ATOL gates, which keep clear of
+both: a point within NODE_ATOL of a jump location or a grid node is that
+point, so a node computed through a different floating-point route still
+picks up the jump's point value or the cardinal weights.  The Shepard step
+sweep leaves the point value to eval_many: 2*NODE_ATOL only picks the
+orders whose two nodes beside x0 it reads through eval_many.
 
 Jump locations may be exact rationals (Fraction) or floats; the rational
 form is preserved so that downstream node-offset arithmetic stays exact.

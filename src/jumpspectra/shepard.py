@@ -25,7 +25,10 @@ so S = (left*A + right*B)/(A+B).  Each is a partial sum
 P(c, M) = sum_{m=0}^{M-1} (c+m)^(-s), with c = sigma or 1 - sigma in (0, 1)
 and M = k0 + 1 or n - k0 >= 1, and step_sweep takes it in O(1) per order.
 For s = 1 it is the difference of two tails, H(c) - H(c+M), with
-H = -digamma.  For s > 1 its first _HEAD = 16 terms are summed directly.
+H = -digamma.  For s > 1 both sums are taken in units of d^(-s), with
+d = min(sigma, 1 - sigma) as in the weights above, so every term is at most
+1, the nearer side's first term is 1, and nothing overflows however close
+x0 lies to a node.  Their first _HEAD = 16 terms are summed directly.
 Past them, Euler-Maclaurin summation gives the terms 16 <= m < M, with
 a = c + 16 and b = c + M, as
 
@@ -42,8 +45,14 @@ remainder is smaller than the first term left out,
 |B_14|/14! (s)_13 a^(-s-13); at a > 16 that is below 1.3e-18 for every s in
 (1, 20], while the sum is at least its first term c^(-s) >= 1.  What is
 left is rounding: against 40-digit sums the kernel is within 6e-16
-relative for s from 1 + 1e-12 to 20, c in (1e-3, 1) and M up to 10^6.  The
-rearrangement is equality-tested against shepard_eval.
+relative for s from 1 + 1e-12 to 20, c in (1e-3, 1) and M up to 10^6.
+
+The limits stand for f at every node but two: where x0 lies within
+2*NODE_ATOL of a node, eval_many may give node k0/n or (k0 + 1)/n the
+jump's point value (or the limit of the other side), so step_sweep reads
+f at both through eval_many and adds (f(node) - limit) times that side's
+first term to the numerator.  The rearrangement is equality-tested against
+shepard_eval.
 """
 
 from __future__ import annotations
@@ -95,11 +104,11 @@ def _offset_sum(cfg: ShepardConfig, f: JumpFunction, k0, num, den) -> float:
 
 
 def shepard_eval(cfg: ShepardConfig, f: JumpFunction, x) -> float:
-    """Operator value at x in [0, 1] (a float or a Fraction); reproduces f
-    exactly at grid nodes."""
+    """Operator value at x in [0, 1] (a float or a Fraction); at a point
+    node_offsets calls a grid node it reproduces f exactly, f(x)."""
     k0, num, den, is_node = node_offsets(x, cfg.n, 0)
     if is_node:
-        return f.eval(k0 / cfg.n)
+        return f.eval(x)
     return _offset_sum(cfg, f, k0, num, den)
 
 
@@ -134,12 +143,13 @@ def _boundary(terms, power, inv):
     return power * (0.5 + inv * p)
 
 
-def _heads(s: float, c):
+def _heads(s: float, c, d):
     """What the partial sums sum_{m<M} (c+m)^(-s) need of each c alone.
 
-    For s = 1, the tail -digamma(c).  For s > 1, the running sums of the
-    first _HEAD terms (row j - 1 holds the sum of j terms, one column per
-    c), a = c + _HEAD, a^(1-s) and G(a).
+    For s = 1, the tail -digamma(c).  For s > 1, in units of d^(-s) (one
+    d <= c per column): the running sums of the first _HEAD terms (row
+    j - 1 holds the sum of j terms, one column per c), a = c + _HEAD,
+    a^(1-s) and G(a).
     """
     if s == 1.0:
         return -digamma(c)
@@ -147,7 +157,7 @@ def _heads(s: float, c):
     a = x[-1].copy()
     # the powers replace the bases, so the heads hold one (_HEAD + 1) x len(c)
     # array: about 9 MB per side for a CHUNK-long block
-    powers = np.power(x, -s, out=x)
+    powers = np.power(np.divide(x, d, out=x), -s, out=x)
     power, running = powers[-1], powers[:-1]
     for j in range(1, _HEAD):
         running[j] += running[j - 1]
@@ -155,8 +165,8 @@ def _heads(s: float, c):
 
 
 def _partial_sums(s: float, heads, rows, m, end):
-    """sum_{j<m} (c+j)^(-s) for each order: its c is entry rows of heads
-    (_heads), m >= 1 its number of terms and end = c + m."""
+    """sum_{j<m} (c+j)^(-s) for each order, in the units of heads (_heads):
+    its c is entry rows of heads, m >= 1 its number of terms and end = c + m."""
     if s == 1.0:
         return heads[rows] + digamma(end)
     running, a, a_power, boundary = heads
@@ -166,7 +176,7 @@ def _partial_sums(s: float, heads, rows, m, end):
     # u = (end/a)^(1-s) - 1 from expm1 so that it holds as s -> 1
     u = np.expm1((1.0 - s) * np.log1p((m - _HEAD) / a))
     inv = 1.0 / end
-    # end^(-s) = a^(1-s) (1 + u) / end
+    # end^(-s) = a^(1-s) (1 + u) / end, in the units of a^(1-s)
     end_boundary = _boundary(_bernoulli_terms(s), a_power * (1.0 + u) * inv, inv)
     tail = a_power * (-u / (s - 1.0)) + boundary[rows] - end_boundary
     return head + np.where(m > _HEAD, tail, 0.0)
@@ -178,6 +188,9 @@ def step_sweep(f: JumpFunction, s: float, n_values) -> np.ndarray:
     Requires exactly one jump on a constant continuous part (the canonical
     steps qualify) and weights the limits f.step_limits gives, the values f
     takes at the nodes, so the values equal shepard_at_jump for each n.
+    Where a node lies within 2*NODE_ATOL of x0 (never on an exact p/q with
+    q n < 1/(2*NODE_ATOL)), f is read at the two nodes beside x0 and the
+    point value eval_many gives either one enters with its weight.
 
     n_values holds the grid orders n >= 1: a range or any other sliceable
     sequence of ints (a list, an integer array).  The result has one value
@@ -189,11 +202,10 @@ def step_sweep(f: JumpFunction, s: float, n_values) -> np.ndarray:
     On an exact location p/q with q no larger than the number of orders
     and than CHUNK, sigma = r/q takes only q - 1 values off a node, so what
     the two partial sums need of sigma and of 1 - sigma alone (the s = 1
-    tails, or the 16 direct terms and G(c + 16) for s > 1) comes from one
-    table per residue r; otherwise each order computes its own.  Both
-    routes give the same doubles.  An order with a node within 2*NODE_ATOL
-    of x0 that is not x0 itself goes to shepard_at_jump: eval_many may give
-    that node the jump's point value, and its sigma may round to 0 or 1.
+    tails, or the 16 direct terms and G(c + 16) in units of
+    d^(-s) = min(sigma, 1 - sigma)^(-s) for s > 1) comes from one table per
+    residue r; otherwise each order computes its own.  Both routes give the
+    same doubles.
 
     Each partial sum is within about 6e-16 relative of the exact sum for
     every s in the box, s just above 1 included (module docstring).
@@ -211,32 +223,41 @@ def step_sweep(f: JumpFunction, s: float, n_values) -> np.ndarray:
     if exact and jump.x.denominator <= min(out.size, piecewise.CHUNK):
         # r/q and 1.0 - r/q, r = 1..q-1, are the doubles the per-order route
         # forms off a node; (q - r)/q can round differently
-        residue_sigma = np.arange(1, jump.x.denominator) / jump.x.denominator
-        table = _heads(s, residue_sigma), _heads(s, 1.0 - residue_sigma)
+        sigma = np.arange(1, jump.x.denominator) / jump.x.denominator
+        rest = 1.0 - sigma
+        d = np.minimum(sigma, rest)
+        table = _heads(s, sigma, d), _heads(s, rest, d)
     for lo, hi in blocks(0, out.size):
         orders = n_array(n_values[lo:hi])
         k0, num, den, node = node_offsets(jump.x, orders, 0)
-        live, close = ~node, ()
+        live = ~node
+        num, k0, n = num[live], k0[live].astype(float), orders[live].astype(float)
+        # asarray turns the Python-int quotients of a large p/q into doubles;
+        # past 2^53 num/den can round to 1.0, so 1 - sigma comes from integers
+        sigma = np.asarray(num / den, dtype=float)
+        rest = 1.0 - sigma if den <= 2**53 else np.asarray((den - num) / den, dtype=float)
         # off a node sigma >= 1/q, so an exact p/q with q n < 1/(2*NODE_ATOL)
         # has no node within 2*NODE_ATOL of x0
-        if not (exact and jump.x.denominator * int(orders.max()) < 0.5 / NODE_ATOL):
-            sigma = np.asarray(num / den, dtype=float)
-            near = np.minimum(sigma, 1.0 - sigma) <= 2 * NODE_ATOL * orders
-            close = np.flatnonzero(live & near)
-            live[close] = False
-        num, k0, n = num[live], k0[live].astype(float), orders[live].astype(float)
-        # asarray turns the Python-int quotients of a large p/q into doubles
-        sigma = np.asarray(num / den, dtype=float)
-        # per-order heads live for one call each: one side's at a time, and
-        # none through the hand-off below
+        clear = exact and den * int(orders.max()) < 0.5 / NODE_ATOL
+        d = None if clear and s == 1.0 else np.minimum(sigma, rest)
+        # per-order heads live for one call each: one side's at a time
         rows = np.arange(sigma.size) if table is None else num.astype(int) - 1
-        a = _partial_sums(s, table[0] if table else _heads(s, sigma), rows,
+        a = _partial_sums(s, table[0] if table else _heads(s, sigma, d), rows,
                           k0 + 1.0, sigma + k0 + 1.0)
-        b = _partial_sums(s, table[1] if table else _heads(s, 1.0 - sigma), rows,
+        b = _partial_sums(s, table[1] if table else _heads(s, rest, d), rows,
                           n - k0, n - k0 + 1.0 - sigma)
+        total = limits[0] * a + limits[1] * b
+        close = () if clear else np.flatnonzero(d <= 2 * NODE_ATOL * n)
+        if len(close):
+            # f at nodes k0/n and (k0 + 1)/n, formed as cfg.nodes forms them:
+            # a value other than the side's limit (the jump's point value)
+            # enters with its weight, that side's first term
+            k, m, unit = k0[close], n[close], d[close] if s > 1.0 else 1.0
+            nodes = np.concatenate((k / m, (k + 1.0) / m))
+            at_left, at_right = f.eval_many(nodes).reshape(2, -1)
+            total[close] += ((at_left - limits[0]) * (sigma[close] / unit) ** -s
+                             + (at_right - limits[1]) * (rest[close] / unit) ** -s)
         block = out[lo:hi]
         block[:] = jump.value
-        block[live] = (limits[0] * a + limits[1] * b) / (a + b)
-        for i in close:
-            block[i] = shepard_at_jump(ShepardConfig(s, int(orders[i])), f, 0)
+        block[live] = total / (a + b)
     return out

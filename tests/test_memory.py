@@ -1,9 +1,11 @@
-"""Peak memory of the long-prefix CLI paths, each in a fresh interpreter.
+"""Peak memory of the long-prefix paths, each in a fresh interpreter.
 
 At N = 4*10^6 orders one float array is 32 MB.  compare holds the values
 and the sorted tail (48 MB) beside block-sized temporaries, so it must stay
 within two length-N arrays; the CSV and JSON exports hold the values and
-one block of rows.
+one block of rows.  The Shepard step sweep at sqrt(2)/2 holds the values
+and one block's temporaries, also on the four orders up to 4*10^6 with a
+node within 2*NODE_ATOL of x0.
 """
 
 import os
@@ -23,25 +25,37 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
 """
 
+# the same for one step_sweep call over n = 1..argv[1]
+SWEEP = """
+import math, resource, sys
+from jumpspectra.piecewise import pure_step
+from jumpspectra.shepard import step_sweep
+h = pure_step(math.sqrt(2) / 2, 0.3, "left1_right0", (0.0, 1.0))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+step_sweep(h, 2.0, range(1, int(sys.argv[1]) + 1))
+print(0, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
 S1 = ["--operator", "shepard", "--s", "1", "--x0-num", "1", "--x0-den", "3",
       "--n-max", "4000000", "--d", "-0.25"]
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is read in KiB")
 @pytest.mark.parametrize(
-    "argv, limit_mb",
+    "script, argv, limit_mb",
     [
-        (["compare", *S1, "--gap", "0.15"], 64),
-        (["run", *S1, "--format", "csv", "--out", os.devnull], 100),
-        (["run", *S1, "--format", "json", "--out", os.devnull], 100),
+        (SCRIPT, ["compare", *S1, "--gap", "0.15"], 64),
+        (SCRIPT, ["run", *S1, "--format", "csv", "--out", os.devnull], 100),
+        (SCRIPT, ["run", *S1, "--format", "json", "--out", os.devnull], 100),
+        (SWEEP, ["4000000"], 100),
     ],
-    ids=["compare", "run-csv", "run-json"],
+    ids=["compare", "run-csv", "run-json", "step-sweep-irrational"],
 )
-def test_peak_growth_after_import(argv, limit_mb):
+def test_peak_growth_after_import(script, argv, limit_mb):
     path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, *argv],
+        [sys.executable, "-c", script, *argv],
         capture_output=True, text=True, env=env, timeout=600,
     )
     assert proc.returncode == 0, proc.stderr

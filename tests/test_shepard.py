@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jumpspectra import piecewise
+from jumpspectra import piecewise, shepard
 from jumpspectra.piecewise import (
     CHUNK,
+    NODE_ATOL,
+    OFFSET_TOL,
     ContinuousPart,
     JumpFunction,
     from_descriptor_dict,
@@ -74,6 +76,22 @@ def _locations(draw):
     return draw(st.floats(min_value=1e-3, max_value=1 - 1e-3))
 
 
+@st.composite
+def _near_node_locations(draw):
+    """(x0, n): x0 = (k + delta)/n with |delta| log-uniform in [1e-14, 1e-10],
+    as a float or as the nearest p/q with q up to 10^18, so that a node of
+    order n (and of its multiples) lies within about 1e-10/n of x0."""
+    n = draw(st.integers(min_value=2, max_value=3000))
+    k = draw(st.integers(min_value=1, max_value=n - 1))
+    sign = draw(st.sampled_from([-1.0, 1.0]))
+    delta = sign * 10.0 ** draw(st.floats(min_value=-14.0, max_value=-10.0))
+    if draw(st.booleans()):
+        return k / n + delta / n, n
+    q = draw(st.integers(min_value=2, max_value=10**18))
+    p = round(q * (k + Fraction(delta)) / n)
+    return Fraction(min(max(p, 1), q - 1), q), n
+
+
 class TestEval:
     def test_constant_reproduced(self):
         f = JumpFunction(ContinuousPart((2.75,)), (), (0.0, 1.0))
@@ -97,6 +115,19 @@ class TestEval:
     def test_domain_checked(self):
         with pytest.raises(ValueError):
             shepard_eval(ShepardConfig(2.0, 10), H_HALF, 1.5)
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_float_node_reproduces_f_at_the_point(self, n):
+        # x0 = k/n + e with NODE_ATOL < e < OFFSET_TOL/n: node_offsets calls
+        # x0 a node, but k/n lies more than NODE_ATOL from the jump, where
+        # f takes its left limit; the operator reproduces f at x0 itself
+        e = (NODE_ATOL + OFFSET_TOL / n) / 2
+        for k in range(1, n):
+            x0 = k / n + e
+            h = pure_step(x0, 0.3, "left1_right0", (0.0, 1.0))
+            cfg = ShepardConfig(2.0, n)
+            assert node_offsets(x0, n, 0)[3] and h.eval(k / n) == 1.0
+            assert shepard_eval(cfg, h, x0) == shepard_at_jump(cfg, h, 0) == h.eval(x0) == 0.3
 
     def test_exponent_box(self):
         with pytest.raises(ValueError):
@@ -302,10 +333,9 @@ class TestStepSweep:
         values = step_sweep(h, s, range(1, 20))
         for n, value in zip(range(1, 20), values):
             direct = shepard_at_jump(ShepardConfig(s, n), h, 0)
+            assert value == pytest.approx(direct, abs=1e-15)
             if n % 3 == 0:
-                assert value == direct == pytest.approx(0.3, abs=1e-15)
-            else:
-                assert value == pytest.approx(direct, abs=1e-15)
+                assert value == pytest.approx(0.3, abs=1e-15)
 
     @pytest.mark.parametrize("n", [10, 30, 40, 60, 200, 1000])
     @pytest.mark.parametrize("s", [1.0, 2.0])
@@ -318,9 +348,51 @@ class TestStepSweep:
         assert not node_offsets(x0, n, 0)[3]
         for order, value in zip(orders, step_sweep(h, s, orders)):
             direct = shepard_at_jump(ShepardConfig(s, order), h, 0)
-            assert value == (direct if order == n and n > 25 else pytest.approx(direct, abs=1e-14))
+            assert value == pytest.approx(direct, abs=1e-15 if order == n and n > 25 else 1e-14)
         if n > 50:
             assert step_sweep(h, s, [n])[0] == pytest.approx(0.3, abs=1e-10)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        location=_near_node_locations(),
+        s=st.one_of(st.just(1.0), st.floats(min_value=1.0, max_value=20.0, exclude_min=True)),
+        pick=st.integers(min_value=1, max_value=3000),
+        d=st.floats(min_value=-2.0, max_value=2.0),
+    )
+    def test_next_to_a_node_matches_direct_sum(self, location, s, pick, d):
+        # node k/n, or a node of a multiple of n, within about 1e-10/n of x0:
+        # where eval_many gives it the point value, the sweep adds it with
+        # its weight, and the weights are taken in units that cannot overflow
+        x0, n = location
+        h = pure_step(x0, d, "left1_right0", (0.0, 1.0))
+        orders = sorted({n - 1, n, n + 1, 2 * n, 3 * n, pick} & set(range(1, 3001)))
+        bound = 1e-14 * (1 + max(1.0, abs(d)))
+        for order, value in zip(orders, step_sweep(h, s, orders)):
+            assert abs(value - shepard_at_jump(ShepardConfig(s, order), h, 0)) <= bound
+
+    def test_no_order_takes_the_direct_sum(self, monkeypatch):
+        # every third order at the large-q location, and the four orders up
+        # to 4*10^6 with a node within 2*NODE_ATOL of sqrt(2)/2, have a
+        # node next to x0; none of them is summed node by node
+        large_q = pure_step(Fraction(10**17 + 1, 3 * 10**17 + 7), 0.3, "left1_right0", (0.0, 1.0))
+        checked = range(1, 60)
+        expected = {s: [shepard_at_jump(ShepardConfig(s, n), large_q, 0) for n in checked]
+                    for s in (2.0, 20.0)}
+        irrational = pure_step(math.sqrt(2) / 2, 0.3, "left1_right0", (0.0, 1.0))
+        orders = [1607521, 2273378, 3215042, 3880899]
+        _, num, _, _ = node_offsets(irrational.jumps[0].x, np.array(orders), 0)
+        assert np.all(np.minimum(num, 1.0 - num) <= 2 * NODE_ATOL * np.array(orders))
+
+        def refuse(*args):
+            raise AssertionError("step_sweep summed an order node by node")
+
+        monkeypatch.setattr(shepard, "_offset_sum", refuse)
+        for s in (2.0, 20.0):
+            values = step_sweep(large_q, s, range(1, 20_001))
+            assert np.all(np.isfinite(values))
+            assert np.max(np.abs(values[: len(checked)] - expected[s])) <= 1e-15
+        values = step_sweep(irrational, 2.0, orders)
+        assert np.all((0.0 <= values) & (values <= 1.0))
 
     @pytest.mark.parametrize("s", [1.0, 2.0])
     def test_irrational_location_never_a_node(self, s):
