@@ -205,9 +205,9 @@ def run_sequence(cfg: ExperimentConfig) -> SequencePrefix:
     configuration.  Shepard values come from one step_sweep call when f is
     one jump on a constant base stored at the location, the default step
     or a descriptor, and from shepard_at_jump per order otherwise.
-    Lagrange values come from one lagrange.sweep call, whose
-    values equal lagrange_at_jump's at each n; the orders it does not serve
-    (a trig base, n <= the degree of the polynomial base, a node near
+    Lagrange values come from one lagrange.sweep call, whose values are
+    within rounding of lagrange_at_jump's at each n; the orders it does not
+    serve (a trig base, n <= the degree of the polynomial base, a node near
     another jump) go through lagrange_at_jump one at a time.
     """
     f, i = cfg.resolved_fn()

@@ -97,12 +97,15 @@ weights come from the ratio's gaps, and x0 enters only through p(x0).  At
 each other jump every node is either more than 2*NODE_ATOL from it or
 within NODE_ATOL/2 of it (a hit, corrected with the side the sums gave
 that node).  Either way a last-place difference between two cosines
-cannot flip a node's side or its hit.  lagrange_at_jump runs a one-order
-sweep, so a sweep value equals the per-n value bit for bit; where the
-order is not served (trig bases, n <= deg p, a node between NODE_ATOL/2
-and 2*NODE_ATOL of a jump, or between x0 and the stored location) it
-takes the full weight vector against f at every node.  A grid computes
-its angles and nodes only when they are used.
+cannot flip a node's side or its hit.  lagrange_at_jump is the definition
+the sweep is tested against: the node decision, then the full weight
+vector against f at every node, for any f and any order.  Where the sweep
+serves an order it agrees with that sum to rounding; the orders it leaves
+(trig bases, n <= deg p, a node between NODE_ATOL/2 and 2*NODE_ATOL of a
+jump, or between x0 and the stored location) go to lagrange_at_jump.  The
+sweep takes the orders piecewise.CHUNK at a time, so its temporaries
+follow the block and only the result follows the number of orders.  A grid
+computes its angles and nodes only when they are used.
 
 The node offset of a jump location x0 = cos(theta0) is
 sigma_n = frac(n*theta0/pi + 1/2), the fractional position of theta0 inside
@@ -125,7 +128,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .piecewise import NODE_ATOL, JumpFunction, n_array, node_offsets
+from .piecewise import NODE_ATOL, JumpFunction, blocks, n_array, node_offsets
 
 # _side_sums' direct terms per row, and its Euler-Boole terms (module
 # docstring): e_k and P_k's coefficients in ascending powers of cot^2 x,
@@ -471,77 +474,64 @@ def _sweep_block(f: JumpFunction, i: int, n, k0, gap, gap_before, angle: float, 
     return served, values
 
 
-def _general_sum(grid: ChebyshevGrid, f: JumpFunction, k0, gap, gap_before, angle, supplement):
-    """The full weight vector against f at every node, off a node."""
-    weights, scale = _weights(grid.n, k0, gap, gap_before, angle, supplement)
-    return scale * float(weights @ f.eval_many(grid.nodes))
-
-
 def lagrange_at_jump(
     grid: ChebyshevGrid, f: JumpFunction, jump_index: int, ratio=None
 ) -> float:
-    """Interpolant value at the jump location x_i = cos(theta_i).
+    """Interpolant value at the jump location x_i = cos(theta_i): the
+    definition of L_n f there, which sweep serves faster for many n.
 
     ratio is the location theta_i/pi, a Fraction p/q or a float, or None
     for acos(x_i)/pi from the stored location; it drives the node-
     coincidence decision: when the location is a node of this grid the
     interpolant reproduces the declared point value.  Otherwise the kernel
-    gives the weights from the jump's two node gaps, and they are summed
-    one of two ways:
-
-      * through the identity, where a one-order sweep serves the order;
-      * general, for everything else: the full weight vector against f at
-        every node.
-
-    Where the identity applies, the general sum makes the same node
-    decisions and agrees to rounding.
+    gives every weight from the jump's two node gaps, and the value is the
+    full weight vector against f at every node, for any base and order.
     """
     jump = f.jumps[jump_index]
     if ratio is None:
         ratio = math.acos(jump.x_float) / math.pi
-    if _polynomial_base(f):
-        served, values = sweep(f, jump_index, ratio, [grid.n])
-        if served[0]:
-            return float(values[0])
     is_node, k0, gap, gap_before, angle, supplement = _location(ratio, grid.n)
     if is_node:
         return jump.value
-    return _general_sum(grid, f, k0, gap, gap_before, angle, supplement)
-
-
-def _polynomial_base(f: JumpFunction) -> bool:
-    """Whether sweep can serve any off-node order of f: L_n reproduces only
-    polynomials, and eval_many would raise on a node outside the domain."""
-    return not f.base.trig and f.domain[0] <= -1.0 and 1.0 <= f.domain[1]
+    weights, scale = _weights(grid.n, k0, gap, gap_before, angle, supplement)
+    return scale * float(weights @ f.eval_many(grid.nodes))
 
 
 def sweep(f: JumpFunction, jump_index: int, ratio, n_values):
     """L_n f at jump jump_index of f, for many n, through the identity.
 
     ratio is the jump's location theta0/pi, a Fraction p/q or a float;
-    n_values holds the grid orders n >= 1, a range or any other sequence of
-    ints.  Returns (served, values), one entry per order in the same order:
-    the point value at a node, and the identity, batched over _ROWS
-    off-node orders at a time, where its gates pass (module docstring).
-    The values of the other orders are nan; lagrange_at_jump takes the
-    general sum there, and gives the same value as the sweep at a served
-    order.
+    n_values holds the grid orders n >= 1: a range or any other sliceable
+    sequence of ints (a list, an integer array).  Returns (served, values),
+    one entry per order in the same order: the point value at a node, and
+    the identity, batched over _ROWS off-node orders at a time, where its
+    gates pass (module docstring).  The values of the other orders are nan;
+    lagrange_at_jump gives them, and agrees with a served value to
+    rounding.  The orders are taken CHUNK at a time, each block sliced from
+    n_values and given its own _location call, so the temporaries follow
+    the block and only the result follows the number of orders.
     """
     jump = f.jumps[jump_index]
-    n = n_array(n_values)
-    if n.size and n.min() < 1:
-        raise ValueError("grid order must be >= 1")
-    is_node, k0, gap, gap_before, angle, supplement = _location(ratio, n)
-    served = is_node.copy()
-    values = np.where(is_node, jump.value, np.nan)
-    if not _polynomial_base(f):
-        return served, values
-    live = np.flatnonzero(~is_node)
-    for start in range(0, live.size, _ROWS):
-        rows = live[start:start + _ROWS]
-        ok, block = _sweep_block(
-            f, jump_index, n[rows], k0[rows], gap[rows], gap_before[rows], angle, supplement
-        )
-        served[rows[ok]] = True
-        values[rows[ok]] = block
+    served = np.zeros(len(n_values), dtype=bool)
+    values = np.full(served.size, np.nan)
+    # L_n reproduces only polynomials, and eval_many would raise on a node
+    # outside the domain
+    polynomial = not f.base.trig and f.domain[0] <= -1.0 and 1.0 <= f.domain[1]
+    for lo, hi in blocks(0, served.size):
+        n = n_array(n_values[lo:hi])
+        if n.min() < 1:
+            raise ValueError("grid order must be >= 1")
+        is_node, k0, gap, gap_before, angle, supplement = _location(ratio, n)
+        served[lo:hi] = is_node
+        values[lo:hi][is_node] = jump.value
+        if not polynomial:
+            continue
+        live = np.flatnonzero(~is_node)
+        for start in range(0, live.size, _ROWS):
+            rows = live[start:start + _ROWS]
+            ok, block = _sweep_block(
+                f, jump_index, n[rows], k0[rows], gap[rows], gap_before[rows], angle, supplement
+            )
+            served[lo + rows[ok]] = True
+            values[lo + rows[ok]] = block
     return served, values

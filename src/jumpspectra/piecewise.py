@@ -55,9 +55,10 @@ NODE_ATOL = 1e-13
 OFFSET_TOL = 1e-12
 _INT64_MAX = np.iinfo(np.int64).max
 
-#: length of the blocks that the long-prefix paths (shepard.step_sweep, the
-#: density scans, the CSV export) work in, so that their temporaries follow
-#: the block and not the number of orders
+#: length of the blocks that the long-prefix paths (lagrange.sweep,
+#: shepard.step_sweep, the density scans, the CSV and JSON exports) work in,
+#: so that their temporaries follow the block and not the number of orders;
+#: blocks reads it at call time
 CHUNK = 1 << 16
 
 LEFT0_RIGHT1 = "left0_right1"

@@ -229,6 +229,8 @@ def step_sweep(f: JumpFunction, s: float, n_values) -> np.ndarray:
         table = _heads(s, sigma, d), _heads(s, rest, d)
     for lo, hi in blocks(0, out.size):
         orders = n_array(n_values[lo:hi])
+        if orders.min() < 1:
+            raise ValueError("grid order must be >= 1")
         k0, num, den, node = node_offsets(jump.x, orders, 0)
         live = ~node
         num, k0, n = num[live], k0[live].astype(float), orders[live].astype(float)

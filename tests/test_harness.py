@@ -30,6 +30,7 @@ from jumpspectra.density import (
     tail_values,
 )
 from jumpspectra.lagrange import ChebyshevGrid, lagrange_at_jump
+from jumpspectra.lagrange import sweep as lagrange_sweep
 from jumpspectra.piecewise import ContinuousPart, from_steps, save_descriptor
 from jumpspectra.shepard import ShepardConfig, shepard_at_jump
 from jumpspectra.theory import Irrational
@@ -54,6 +55,21 @@ def _two_jump_cfg(location, **kw):
     f = from_steps(ContinuousPart((0.0, 0.0, 1.0)), steps, (-1.0, 1.0))
     jump_index = [j.x_float for j in f.jumps].index(0.0 if at_zero else x1)
     return lagrange_cfg(location=location, fn=f, jump_index=jump_index, **kw)
+
+
+def _matches_per_n(cfg):
+    """run_sequence's Lagrange values equal sweep's one order at a time bit
+    for bit, lagrange_at_jump's at the orders it leaves, and lagrange_at_jump's
+    within rounding at every order."""
+    f, i = cfg.resolved_fn()
+    ratio = cfg.location_ratio()
+    values = run_sequence(cfg).values
+    for n, value in zip(cfg.ns(), values.tolist()):
+        grid = ChebyshevGrid(n)
+        per_n = lagrange_at_jump(grid, f, i, ratio)
+        served, alone = lagrange_sweep(f, i, ratio, [n])
+        assert value == (alone[0] if served[0] else per_n)
+        assert abs(value - per_n) <= 1e-14 * (1 + np.abs(f.eval_many(grid.nodes)).max())
 
 
 def shepard_cfg(**kw):
@@ -87,21 +103,13 @@ class TestRunSequence:
 
     @pytest.mark.parametrize("location", [Fraction(2, 7), Irrational(math.sqrt(2) - 1)])
     def test_lagrange_step_sweep_matches_per_n(self, location):
-        cfg = lagrange_cfg(location=location, n_max=300, stride=7)
-        f, i = cfg.resolved_fn()
-        ratio = cfg.location_ratio()
-        expected = [lagrange_at_jump(ChebyshevGrid(n), f, i, ratio) for n in cfg.ns()]
-        assert run_sequence(cfg).values.tolist() == expected
+        _matches_per_n(lagrange_cfg(location=location, n_max=300, stride=7))
 
     @pytest.mark.parametrize("location", [
         Fraction(1, 3), Fraction(1, 2), Irrational(math.sqrt(2) - 1),
     ])
     def test_lagrange_sweep_matches_per_n_on_two_jumps(self, location):
-        cfg = _two_jump_cfg(location, n_max=700, stride=3)
-        f, i = cfg.resolved_fn()
-        ratio = cfg.location_ratio()
-        expected = [lagrange_at_jump(ChebyshevGrid(n), f, i, ratio) for n in cfg.ns()]
-        assert run_sequence(cfg).values.tolist() == expected
+        _matches_per_n(_two_jump_cfg(location, n_max=700, stride=3))
 
     @pytest.mark.parametrize("location, unserved", [
         (Fraction(1, 3), [1, 2]), (Fraction(1, 2), [2]),

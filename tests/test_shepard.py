@@ -411,6 +411,13 @@ class TestStepSweep:
         with pytest.raises(ValueError):
             step_sweep(curved, 2.0, [10])
 
+    @pytest.mark.parametrize("orders", [[0], [-1], [1, 0]])
+    def test_rejects_orders_below_one(self, orders):
+        # as ShepardConfig and lagrange.sweep do
+        h = pure_step(0.3, 0.3, "left1_right0", (0.0, 1.0))
+        with pytest.raises(ValueError, match="grid order must be >= 1"):
+            step_sweep(h, 2.0, orders)
+
 
 class TestChunkedSweep:
     """step_sweep against the whole-array sweep, across the block edges.
