@@ -27,7 +27,6 @@ from .harness import (
 )
 from .lagrange import (
     ChebyshevGrid,
-    fundamental_eval,
     fundamental_weights,
     lagrange_at_jump,
     lagrange_eval,

@@ -131,10 +131,6 @@ class IntervalUnion:
         out[ok] = xs[ok] <= ends[idx[ok]]
         return out
 
-    @property
-    def total_length(self) -> float:
-        return float(sum(b - a for a, b in self.intervals))
-
 
 @dataclass(frozen=True)
 class IndexEstimate:

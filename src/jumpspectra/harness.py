@@ -116,6 +116,15 @@ class ExperimentConfig:
             raise ConfigError(
                 f"s: exponent must lie in [{SHEPARD_S_MIN:g}, {SHEPARD_S_MAX:g}]"
             )
+        if not math.isfinite(self.d):
+            raise ConfigError("d: must be finite")
+        tols = {"value_tol": self.resolved_value_tol(), "index_tol": self.index_tol,
+                "ks_tol": self.ks_tol}
+        for name, tol in tols.items():
+            if not (math.isfinite(tol) and tol > 0):
+                raise ConfigError(f"{name}: must be finite and positive")
+        if not (math.isfinite(self.index_floor) and self.index_floor >= 0):
+            raise ConfigError("index_floor: must be finite and >= 0")
         if self.n_max < 64:
             raise ConfigError("n_max: must be >= 64")
         if self.stride < 1:
@@ -256,6 +265,10 @@ class MatchEntry:
     index_error: float
 
 
+def _cluster_dict(c: Cluster) -> dict:
+    return {"center": c.center, "empirical_index": c.empirical_index, "count": c.count}
+
+
 @dataclass
 class ComparisonReport:
     """Outcome of compare; prefix is the graded sequence, left out of to_dict."""
@@ -274,14 +287,7 @@ class ComparisonReport:
         return {
             "predicted": self.predicted.to_dict(),
             "empirical": {
-                "clusters": [
-                    {
-                        "center": c.center,
-                        "empirical_index": c.empirical_index,
-                        "count": c.count,
-                    }
-                    for c in self.empirical.clusters
-                ],
+                "clusters": [_cluster_dict(c) for c in self.empirical.clusters],
                 "unassigned_fraction": self.empirical.unassigned_fraction,
             },
             "matching": [
@@ -301,11 +307,7 @@ class ComparisonReport:
                  "index_den": a.index.denominator}
                 for a in self.unmatched_atoms
             ],
-            "unmatched_clusters": [
-                {"center": c.center, "empirical_index": c.empirical_index,
-                 "count": c.count}
-                for c in self.unmatched_clusters
-            ],
+            "unmatched_clusters": [_cluster_dict(c) for c in self.unmatched_clusters],
             "ks_distance": self.ks_distance,
             "pass": self.passed,
             "tolerances": self.tolerances,
@@ -364,34 +366,27 @@ def compare(cfg: ExperimentConfig) -> ComparisonReport:
         t = (tail_values(prefix.values, cfg.tail_fraction) - cont.alpha) / cont.beta
         u = cont.profile.invert_many(t)
         ks = ks_uniform_distance(u)
-        return ComparisonReport(
-            predicted=spectrum,
-            empirical=report,
-            matching=[],
-            unmatched_atoms=[],
-            unmatched_clusters=list(report.clusters),
-            ks_distance=ks,
-            passed=ks < cfg.ks_tol,
-            tolerances=tolerances,
-            prefix=prefix,
+        matches, un_atoms, un_clusters = [], [], list(report.clusters)
+        passed = ks < cfg.ks_tol
+    else:
+        ks = None
+        matches, un_atoms, un_clusters = _greedy_match(spectrum.atoms, report.clusters)
+        passed = (
+            not un_atoms
+            and all(
+                m.value_error < value_tol and m.index_error < cfg.index_tol
+                for m in matches
+            )
+            and all(c.empirical_index <= cfg.index_floor for c in un_clusters)
         )
-    matches, un_atoms, un_clusters = _greedy_match(spectrum.atoms, report.clusters)
-    ok = (
-        not un_atoms
-        and all(
-            m.value_error < value_tol and m.index_error < cfg.index_tol
-            for m in matches
-        )
-        and all(c.empirical_index <= cfg.index_floor for c in un_clusters)
-    )
     return ComparisonReport(
         predicted=spectrum,
         empirical=report,
         matching=matches,
         unmatched_atoms=un_atoms,
         unmatched_clusters=un_clusters,
-        ks_distance=None,
-        passed=ok,
+        ks_distance=ks,
+        passed=passed,
         tolerances=tolerances,
         prefix=prefix,
     )

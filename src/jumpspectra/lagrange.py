@@ -44,7 +44,8 @@ whose leading differences are exact or at least 1/4, so both gaps are
 accurate to a few roundings however small.  The angle is then pi r and
 its supplement pi (1 - r).  fundamental_weights (at r = acos(x)/pi),
 lagrange_eval, lagrange_at_jump and sweep all evaluate that one kernel.
-The O(n^2) product form is retained only as a test oracle.
+The product form, fundamental_product_reference, is kept only as the
+oracle of selftest and the tests.
 
 L_n reproduces polynomials of degree < n.  So for f a polynomial base p
 plus jumps, f = p + sum_j a_j H(x - x_j), with a_j = right_j - left_j and
@@ -105,7 +106,9 @@ serves an order it agrees with that sum to rounding; the orders it leaves
 jump, or between x0 and the stored location) go to lagrange_at_jump.  The
 sweep takes the orders piecewise.CHUNK at a time, so its temporaries
 follow the block and only the result follows the number of orders.  A grid
-computes its angles and nodes only when they are used.
+computes its angles and nodes only when they are used.  _node_angle is the
+one place a node angle (2k-1) pi/(2n) is formed: the grid's, and the
+sweep's at its gates and hit corrections, which so read the same doubles.
 
 The node offset of a jump location x0 = cos(theta0) is
 sigma_n = frac(n*theta0/pi + 1/2), the fractional position of theta0 inside
@@ -149,6 +152,13 @@ _EULER_BOOLE = (
 _ROWS = 512
 
 
+def _node_angle(k, n):
+    """theta_{n,k} = (2k-1) pi/(2n) for the node indices k (1-based) of the
+    orders n, broadcast: the one place a node angle is formed, so the
+    grids, the sweep's gates and its hit corrections read the same doubles."""
+    return (2 * k - 1) * math.pi / (2 * n)
+
+
 class ChebyshevGrid:
     """Chebyshev nodes cos((2k-1) pi / (2n)), k = 1..n (descending in x).
 
@@ -162,7 +172,7 @@ class ChebyshevGrid:
 
     @cached_property
     def thetas(self) -> np.ndarray:
-        return np.arange(1, 2 * self.n, 2) * math.pi / (2 * self.n)
+        return _node_angle(np.arange(1, self.n + 1), self.n)
 
     @cached_property
     def nodes(self) -> np.ndarray:
@@ -170,16 +180,6 @@ class ChebyshevGrid:
 
     def __repr__(self):
         return f"ChebyshevGrid(n={self.n})"
-
-
-def _coincident_node(grid: ChebyshevGrid, x: float, theta: float):
-    """Index (0-based) of a node within tolerance of x, or None."""
-    j = int(round(grid.n * theta / math.pi + 0.5)) - 1
-    j = min(max(j, 0), grid.n - 1)
-    for jj in (j - 1, j, j + 1):
-        if 0 <= jj < grid.n and abs(x - grid.nodes[jj]) < NODE_ATOL:
-            return jj
-    return None
 
 
 def _split(a):
@@ -278,30 +278,24 @@ def _weights(n: int, k0: int, gap: float, gap_before: float, angle: float, suppl
 def fundamental_weights(grid: ChebyshevGrid, x: float) -> np.ndarray:
     """All ell_{n,k}(x), k = 1..n, via the trigonometric form.
 
-    A node within NODE_ATOL of x gets the cardinal weights.
+    A node within NODE_ATOL of x gets the cardinal weights: one scan of
+    grid.nodes, the package's cardinal rule, which takes the first such
+    node.
     """
     if not -1.0 <= x <= 1.0:
         raise ValueError("argument must lie in [-1, 1]")
-    theta = math.acos(x)
-    j = _coincident_node(grid, x, theta)
-    if j is not None:
+    near = np.abs(grid.nodes - x) < NODE_ATOL
+    if near.any():
         out = np.zeros(grid.n)
-        out[j] = 1.0
+        out[near.argmax()] = 1.0
         return out
     # more than NODE_ATOL from every node, theta is far enough from each
     # node angle for floor(t_n) to be the node index and both gaps positive
-    n, ratio = grid.n, theta / math.pi
+    n, ratio = grid.n, math.acos(x) / math.pi
     k0 = int(n * ratio + 0.5)
     weights, scale = _weights(n, k0, *_float_gaps(ratio, n, k0))
     weights *= scale
     return weights
-
-
-def fundamental_eval(grid: ChebyshevGrid, k: int, x: float) -> float:
-    """ell_{n,k}(x) for a single k in 1..n."""
-    if not 1 <= k <= grid.n:
-        raise ValueError(f"k must be in 1..{grid.n}")
-    return float(fundamental_weights(grid, x)[k - 1])
 
 
 def lagrange_eval(grid: ChebyshevGrid, f: JumpFunction, x: float) -> float:
@@ -327,8 +321,9 @@ def _other_jump(n: np.ndarray, x: float):
     nodes with x_k >= x, the nodes eval_many puts right of the jump; hit is
     the index of a node within NODE_ATOL/2 of x, which eval_many gives the
     jump's point value, or 0; clear is whether every node is either such a
-    hit or more than 2*NODE_ATOL from x (and no two are hits).  Where clear
-    holds, a last-place difference between these cosines and grid.nodes'
+    hit or more than 2*NODE_ATOL from x (and no two are hits).  The node
+    angles are _node_angle's, the grid's doubles; where clear holds, a
+    last-place difference between their cosines here and in grid.nodes
     moves no node across x or into or out of NODE_ATOL of it.  Only the
     nearest node angle and its two neighbours can come that close, and
     every node before them lies right of x.
@@ -338,7 +333,7 @@ def _other_jump(n: np.ndarray, x: float):
     # one row each for the nearest node angle and its two neighbours
     k = near + np.array([[-1], [0], [1]])
     valid = (k >= 1) & (k <= n)
-    node = np.cos((2 * k - 1) * math.pi / (2 * n))
+    node = np.cos(_node_angle(k, n))
     dist = np.abs(node - x)
     count = np.maximum(near - 2, 0) + (valid & (node >= x)).sum(axis=0)
     on = valid & (dist <= NODE_ATOL / 2)
@@ -468,7 +463,7 @@ def _sweep_block(f: JumpFunction, i: int, n, k0, gap, gap_before, angle: float, 
         side = 0 if j > i else 1
         position = k0[at] - k if side == 0 else k - k0[at] - 1
         weight = scale[at] * _terms(m, gaps[side][at], reaches[side][at], position)
-        node = np.cos((2 * k - 1) * math.pi / (2 * m))
+        node = np.cos(_node_angle(k, m))
         given = f.base.eval_many(node) + f.offsets[np.where(k <= counts[j][rows][at], j + 1, j)]
         values[at] += weight * (f.jumps[j].value - given)
     return served, values

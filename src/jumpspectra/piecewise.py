@@ -27,9 +27,9 @@ k0 and sigma_n, and build their weights from it.  So node_offsets alone
 decides whether an operator's evaluation point is a node.
 
 NODE_ATOL is the other float tolerance.  It is read only by the point
-values (eval_many, one_sided_limits), by Lagrange's cardinal rule in
-fundamental_weights, which takes an arbitrary x and no ratio to decide
-by, and by the Lagrange sweep's 2*NODE_ATOL gates, which keep clear of
+values (eval_many), by Lagrange's cardinal rule, fundamental_weights' one
+scan for a node within NODE_ATOL of an arbitrary x, which has no ratio to
+decide by, and by the Lagrange sweep's 2*NODE_ATOL gates, which keep clear of
 both: a point within NODE_ATOL of a jump location or a grid node is that
 point, so a node computed through a different floating-point route still
 picks up the jump's point value or the cardinal weights.  The Shepard step
@@ -171,8 +171,8 @@ class JumpFunction:
 
     The declared one-sided limits must be consistent with the base and the
     accumulated jump amounts: left_i = base(x_i) + sum_{k<i} (right_k -
-    left_k).  This is validated at construction, so eval and
-    one_sided_limits can be computed exactly from the representation.
+    left_k).  This is validated at construction, so eval can be computed
+    exactly from the representation.
     """
 
     base: ContinuousPart
@@ -249,21 +249,6 @@ class JumpFunction:
         return float(self.eval_many(np.array([x]))[0])
 
     __call__ = eval
-
-    def one_sided_limits(self, x0: float) -> tuple[float, float]:
-        """(f(x0-0), f(x0+0)), exact from the representation."""
-        x0 = float(x0)
-        lo, hi = self.domain
-        if not lo < x0 < hi:
-            raise ValueError("one-sided limits require an interior point")
-        base = self.base(x0)
-        left = base + sum(
-            j.right - j.left for j in self.jumps if j.x_float < x0 - NODE_ATOL
-        )
-        right = base + sum(
-            j.right - j.left for j in self.jumps if j.x_float <= x0 + NODE_ATOL
-        )
-        return left, right
 
 
 def pure_step(x0, d: float, orientation: str, domain) -> JumpFunction:

@@ -77,9 +77,6 @@ class PredictedSpectrum:
     continuous: ContinuousSpectrum | None
     source: str
 
-    def atom_index_sum(self) -> Fraction:
-        return sum((a.index for a in self.atoms), Fraction(0))
-
     def to_dict(self) -> dict:
         cont = None
         if self.continuous is not None:

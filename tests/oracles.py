@@ -1,7 +1,9 @@
 """Independent brute-force oracles used to freeze or cross-check expected
 values.  These deliberately avoid the library's scipy closed forms and
 plateau machinery: plain truncated summation with interval tail bounds, raw
-membership counts, product-form basis polynomials, and grid scans.
+membership counts, and grid scans.  The product-form basis is not here:
+the tests use the library's lagrange.fundamental_product_reference, the
+oracle selftest also needs.
 
 side_sums_direct sums the Lagrange side terms one by one, as the sweep did
 before its Euler-Boole tails.  The whole-array oracles at the end hold
@@ -63,13 +65,6 @@ def count_fraction(mask):
     """Plain membership fraction |K|/N over the whole prefix."""
     mask = np.asarray(mask, dtype=bool)
     return float(np.count_nonzero(mask)) / mask.size
-
-
-def product_basis(nodes, k, x):
-    """O(n) product-form fundamental polynomial (k is 1-based)."""
-    xk = nodes[k - 1]
-    others = np.delete(nodes, k - 1)
-    return float(np.prod((x - others) / (xk - others)))
 
 
 def grid_scan_preimage(profile_eval_many, pairs, du=1e-6):

@@ -200,6 +200,18 @@ class TestValidation:
         with pytest.raises(ConfigError, match=field):
             shepard_cfg(**{field: value})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("d", math.nan), ("d", math.inf), ("value_tol", -1.0), ("value_tol", 0.0),
+         ("value_tol", math.nan), ("index_tol", 0.0), ("index_tol", math.inf),
+         ("ks_tol", -0.1), ("ks_tol", math.nan), ("index_floor", -0.01),
+         ("index_floor", math.nan), ("index_floor", math.inf)],
+    )
+    @pytest.mark.parametrize("make", [lagrange_cfg, shepard_cfg])
+    def test_numeric_fields_checked_at_construction(self, make, field, value):
+        with pytest.raises(ConfigError, match=f"^{field}:"):
+            make(**{field: value})
+
     def test_descriptor_domain_must_cover_the_nodes(self):
         f = from_steps(ContinuousPart((0.0,)), [(0.5, 1.0, 0.25)], (0.0, 0.9))
         with pytest.raises(ConfigError, match="domain"):
@@ -267,9 +279,11 @@ class TestCompare:
         assert worst_index_error(4000) <= worst_index_error(1000) + 0.005
 
     def test_failing_comparison_reported(self):
-        # errors are compared with a strict <, so a zero tolerance is never met
-        report = compare(lagrange_cfg(n_max=300, value_tol=0.0))
+        # at n_max = 300 the index of the atom at g(1/2) misses by about
+        # 3.3e-3; a zero tolerance, which no error could meet, is a ConfigError
+        report = compare(lagrange_cfg(n_max=300, index_tol=1e-3))
         assert not report.passed
+        assert max(m.index_error for m in report.matching) >= 1e-3
 
 
     def test_small_tail_fraction_grades_the_last_value(self):
@@ -649,7 +663,9 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize("flags", [["--gap", "-1"], ["--tail-fraction", "0"],
-                                       ["--x0-den", "0"]])
+                                       ["--x0-den", "0"], ["--d", "nan"],
+                                       ["--value-tol", "-1"], ["--index-tol", "inf"],
+                                       ["--ks-tol", "0"]])
     def test_bad_flag_value_exit_two(self, flags):
         argv = ["compare", "--operator", "shepard", "--x0-num", "1", "--x0-den", "3",
                 "--n-max", "100", *flags]

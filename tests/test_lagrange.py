@@ -13,11 +13,9 @@ from jumpspectra.lagrange import (
     _EULER_BOOLE,
     _HEAD,
     ChebyshevGrid,
-    _coincident_node,
     _location,
     _side_sums,
     _weights,
-    fundamental_eval,
     fundamental_product_reference,
     fundamental_weights,
     lagrange_at_jump,
@@ -35,7 +33,7 @@ from jumpspectra.piecewise import (
 )
 from jumpspectra.specfun import g_lagrange
 
-from oracles import product_basis, side_sums_direct
+from oracles import side_sums_direct
 
 CONST_ONE = JumpFunction(ContinuousPart((1.0,)), (), (-1.0, 1.0))
 CUBE = JumpFunction(ContinuousPart((0.0, 0.0, 0.0, 1.0)), (), (-1.0, 1.0))
@@ -77,14 +75,30 @@ class TestGrid:
 class TestFundamental:
     def test_cardinal_property(self):
         grid = ChebyshevGrid(5)
-        assert fundamental_eval(grid, 2, grid.nodes[1]) == 1.0
-        assert fundamental_eval(grid, 2, grid.nodes[3]) == 0.0
+        assert fundamental_weights(grid, grid.nodes[1])[1] == 1.0
+        assert fundamental_weights(grid, grid.nodes[3])[1] == 0.0
 
     def test_trig_matches_product_form(self):
         grid = ChebyshevGrid(7)
-        assert fundamental_eval(grid, 3, 0.2) == pytest.approx(
-            product_basis(grid.nodes, 3, 0.2), abs=1e-9
+        assert fundamental_weights(grid, 0.2)[2] == pytest.approx(
+            fundamental_product_reference(grid, 3, 0.2), abs=1e-9
         )
+
+    # the cardinal rule's edge: within NODE_ATOL of a node x gets that
+    # node's cardinal weights, just past it the trig form; even the end
+    # nodes at n = 10^6 lie about 1e-11 from their neighbours and 1e-12
+    # inside [-1, 1], so a step of NODE_ATOL either way reaches no other node
+    @pytest.mark.parametrize("n", [7, 3000, 10**6])
+    @pytest.mark.parametrize("k", ["first", "middle", "last"])
+    def test_cardinal_scan_edge(self, n, k):
+        grid = ChebyshevGrid(n)
+        k = {"first": 0, "middle": n // 2, "last": n - 1}[k]
+        for side in (-1.0, 1.0):
+            inside = fundamental_weights(grid, grid.nodes[k] + side * 0.99 * NODE_ATOL)
+            assert inside[k] == 1.0 and np.count_nonzero(inside) == 1
+            outside = fundamental_weights(grid, grid.nodes[k] + side * 1.01 * NODE_ATOL)
+            assert np.count_nonzero(outside) > 1
+            assert abs(outside.sum() - 1.0) < 1e-12
 
     @pytest.mark.parametrize("n", [5, 16, 33, 64])
     def test_product_form_sweep(self, n):
@@ -93,22 +107,13 @@ class TestFundamental:
             weights = fundamental_weights(grid, x)
             for k in (1, n // 2 + 1, n):
                 assert weights[k - 1] == pytest.approx(
-                    product_basis(grid.nodes, k, x), abs=1e-9
+                    fundamental_product_reference(grid, k, x), abs=1e-9
                 )
-
-    def test_reference_matches_library_oracle(self):
-        grid = ChebyshevGrid(9)
-        for k in (1, 4, 9):
-            assert fundamental_product_reference(grid, k, 0.31) == pytest.approx(
-                product_basis(grid.nodes, k, 0.31), abs=1e-14
-            )
 
     def test_domain_checks(self):
         grid = ChebyshevGrid(4)
         with pytest.raises(ValueError):
-            fundamental_eval(grid, 0, 0.5)
-        with pytest.raises(ValueError):
-            fundamental_eval(grid, 1, 1.5)
+            fundamental_weights(grid, 1.5)
 
     @pytest.mark.parametrize("n", [8, 64, 512])
     def test_partition_of_unity(self, n):
@@ -254,7 +259,9 @@ class TestAtJump:
         for f, i in (step, _two_jump_at(ratio)):
             grid = ChebyshevGrid(n)
             fk = f.eval_many(grid.nodes)
-            direct = sum(product_basis(grid.nodes, k, x0) * fk[k - 1] for k in range(1, n + 1))
+            direct = sum(
+                fundamental_product_reference(grid, k, x0) * fk[k - 1] for k in range(1, n + 1)
+            )
             assert lagrange_at_jump(grid, f, i, ratio) == pytest.approx(direct, abs=1e-12)
             served, values = sweep(f, i, ratio, [n])
             assert served[0] and values[0] == pytest.approx(direct, abs=1e-12)
@@ -734,7 +741,7 @@ class TestSweep:
             elif swept:
                 assert not unserved(n)
                 assert alone[0][0] and value == alone[1][0]
-                assert _coincident_node(grid, math.cos(angle), angle) is None
+                assert not (np.abs(grid.nodes - math.cos(angle)) < NODE_ATOL).any()
                 tol = 1e-14 * (1 + np.abs(f.eval_many(grid.nodes)).max())
                 assert abs(value - per_n) <= tol
             else:

@@ -133,22 +133,29 @@ class TestEvalMatchesDefinition:
         assert ContinuousPart(()).eval_many(np.array([0.5, -1.0])).tolist() == [0.0, 0.0]
 
 
+def _beside(f, x0):
+    """eval_many just left and just right of x0."""
+    return tuple(f.eval_many([x0 - 1e-9, x0 + 1e-9]).tolist())
+
+
 class TestLimits:
     def test_pure_step_limits(self):
         h = pure_step(0.0, 0.7, LEFT0_RIGHT1, (-1.0, 1.0))
-        assert h.one_sided_limits(0.0) == (0.0, 1.0)
+        assert h.step_limits == _beside(h, 0.0) == (0.0, 1.0)
 
     def test_continuous_point(self, two_jump):
-        left, right = two_jump.one_sided_limits(0.5)
-        assert left == right == 2.0
+        assert _beside(two_jump, 0.5) == (2.0, 2.0)
 
     def test_second_jump(self, two_jump):
-        assert two_jump.one_sided_limits(float(Fraction(2, 3))) == (2.0, -1.0)
+        assert _beside(two_jump, float(Fraction(2, 3))) == (2.0, -1.0)
+        assert two_jump.offsets.tolist() == [0.0, 2.0, -1.0]
 
     def test_limits_differ_by_coefficient(self, two_jump):
-        for jump in two_jump.jumps:
-            left, right = two_jump.one_sided_limits(jump.x_float)
-            assert right - left == pytest.approx(jump.right - jump.left, abs=1e-12)
+        for i, jump in enumerate(two_jump.jumps):
+            left, right = _beside(two_jump, jump.x_float)
+            amount = jump.right - jump.left
+            assert right - left == pytest.approx(amount, abs=1e-12)
+            assert two_jump.offsets[i + 1] - two_jump.offsets[i] == pytest.approx(amount, abs=1e-12)
 
 
 class TestStepLimits:
@@ -174,7 +181,7 @@ class TestStepLimits:
             }
         )
         assert f.step_limits == tuple(f.eval_many([0.2, 0.3]))
-        assert f.step_limits == f.one_sided_limits(0.25)
+        assert f.step_limits == _beside(f, 0.25)
         assert f.step_limits[0] == 1000.0 != f.jumps[0].left
 
 

@@ -28,7 +28,7 @@ class TestPredictLagrange:
         assert len(spectrum.atoms) == 2
         assert spectrum.atoms[0] == Atom(0.2, Fraction(1, 2))
         assert spectrum.atoms[1].value == pytest.approx(0.5, abs=1e-12)
-        assert spectrum.atom_index_sum() == 1
+        assert sum(a.index for a in spectrum.atoms) == 1
 
     def test_odd_denominator(self):
         spectrum = predict_lagrange(UNIT_JUMP, Fraction(1, 3))
@@ -37,7 +37,7 @@ class TestPredictLagrange:
         for got, want in zip(values, expected):
             assert got == pytest.approx(want, abs=1e-12)
         assert all(a.index == Fraction(1, 3) for a in spectrum.atoms)
-        assert spectrum.atom_index_sum() == 1
+        assert sum(a.index for a in spectrum.atoms) == 1
 
     def test_odd_atoms_pair_to_one(self):
         spectrum = predict_lagrange(UNIT_JUMP, Fraction(1, 5))
@@ -71,7 +71,7 @@ class TestPredictLagrange:
         assert len(spectrum.atoms) == 1
         assert spectrum.atoms[0].value == pytest.approx(0.5, abs=1e-12)
         assert spectrum.atoms[0].index == 1
-        assert spectrum.atom_index_sum() == 1
+        assert sum(a.index for a in spectrum.atoms) == 1
 
 
 class TestPredictShepard:
@@ -80,7 +80,7 @@ class TestPredictShepard:
         assert spectrum.source == "shepard_rational"
         assert spectrum.atoms[0] == Atom(0.2, Fraction(1, 2))
         assert spectrum.atoms[1].value == pytest.approx(0.5, abs=1e-12)
-        assert spectrum.atom_index_sum() == 1
+        assert sum(a.index for a in spectrum.atoms) == 1
 
     def test_s1_third(self):
         spectrum = predict_shepard(UNIT_JUMP_REV, Fraction(1, 3), 1.0)
@@ -110,7 +110,7 @@ class TestPredictShepard:
         want = sorted(1.0 - 1.0 * g_shepard(2.0, m / 5) for m in range(1, 5))
         for g, w in zip(got, want):
             assert g == pytest.approx(w, abs=1e-12)
-        assert spectrum.atom_index_sum() == 1
+        assert sum(a.index for a in spectrum.atoms) == 1
 
     def test_exponent_validated(self):
         with pytest.raises(ValueError):
