@@ -9,12 +9,13 @@ Subcommands:
 
 Exit codes: 0 success / comparison pass, 1 comparison fail, 2 configuration
 error (bad flags, config file or descriptor, or a file that cannot be read
-or written), 3 numeric precondition failure (profile monotonicity gate).
-Any other exception is an internal fault and propagates with its traceback.
+or written), 3 numeric precondition failure (profile monotonicity gate),
+4 internal fault (any other exception; its traceback goes to stderr).
 
-Flags mirror ExperimentConfig fields; an optional --config JSON file
-supplies defaults that individual flags override, and may name only flags,
-eps-grid and index-floor.
+One table, _TABLE, names every experiment flag and config key.  An optional
+--config JSON file supplies defaults that the flags given override, and may
+name only the table's keys: the flags, eps-grid and index-floor.  A flag's
+string and a config value take the same converter from the table.
 """
 
 from __future__ import annotations
@@ -22,9 +23,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from fractions import Fraction
 
 from .harness import (
+    LAGRANGE,
+    SHEPARD,
     ComparisonReport,
     ConfigError,
     ExperimentConfig,
@@ -50,127 +54,110 @@ EXIT_OK = 0
 EXIT_COMPARE_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
+EXIT_INTERNAL = 4
 
 
-def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON file with default flag values")
-    p.add_argument("--operator", choices=["lagrange", "shepard"])
-    p.add_argument("--s", type=float, help="shepard exponent (1 <= s <= 20)")
-    p.add_argument("--theta-num", type=int, help="lagrange: theta0/pi numerator")
-    p.add_argument("--theta-den", type=int, help="lagrange: theta0/pi denominator")
-    p.add_argument("--x0-num", type=int, help="shepard: x0 numerator")
-    p.add_argument("--x0-den", type=int, help="shepard: x0 denominator")
-    p.add_argument("--location", type=float, help="float location (with --irrational)")
-    p.add_argument("--irrational", action="store_true",
-                   help="treat --location as declared irrational")
-    p.add_argument("--fn", help="function descriptor file (JSON)")
-    p.add_argument("--jump", type=int, help="jump index inside the descriptor")
-    p.add_argument("--d", type=float, help="point value of the default unit step")
-    p.add_argument("--n-max", type=int)
-    p.add_argument("--stride", type=int)
-    p.add_argument("--gap", type=float)
-    p.add_argument("--tail-fraction", type=float)
-    p.add_argument("--value-tol", type=float)
-    p.add_argument("--index-tol", type=float)
-    p.add_argument("--ks-tol", type=float)
-    p.add_argument("--format", choices=["csv", "json"])
-    p.add_argument("--out", help="output path")
+def _of(*types):
+    """A converter that takes a value of one of types, a bool only where
+    bool is one of them, and returns it as types[0]: nothing is truncated."""
+    def convert(value):
+        if isinstance(value, bool) is not (bool in types) or not isinstance(value, types):
+            raise TypeError(f"{value!r} is not of type {types[0].__name__}")
+        return types[0](value)
+    return convert
 
 
-# flag -> (ExperimentConfig field, converter); eps-grid and index-floor can
-# only come from a --config file
-_FIELDS = {
-    "operator": ("operator", str),
-    "s": ("s", float),
-    "fn": ("fn", load_descriptor),
-    "jump": ("jump_index", int),
-    "d": ("d", float),
-    "n-max": ("n_max", int),
-    "stride": ("stride", int),
-    "gap": ("gap", float),
-    "tail-fraction": ("tail_fraction", float),
-    "value-tol": ("value_tol", float),
-    "index-tol": ("index_tol", float),
-    "ks-tol": ("ks_tol", float),
-    "eps-grid": ("eps_grid", lambda v: tuple(float(e) for e in v)),
-    "index-floor": ("index_floor", float),
+_integer, _real, _string, _boolean = _of(int, str), _of(float, int, str), _of(str), _of(bool)
+
+
+def _reals(value) -> tuple:
+    return tuple(map(_real, _of(list)(value)))
+
+
+# key -> (ExperimentConfig field or None, converter, flag help).  A flag's
+# string and a --config file's JSON value take the same converter.  Keys
+# with no field are read by _location and the subcommands; a key with no
+# help has no flag and comes only from a --config file.
+_TABLE = {
+    "operator": ("operator", _string, "lagrange or shepard"),
+    "s": ("s", _real, "shepard exponent (1 <= s <= 20)"),
+    "theta-num": (None, _integer, "lagrange: theta0/pi numerator"),
+    "theta-den": (None, _integer, "lagrange: theta0/pi denominator"),
+    "x0-num": (None, _integer, "shepard: x0 numerator"),
+    "x0-den": (None, _integer, "shepard: x0 denominator"),
+    "location": (None, _real, "float location (with --irrational)"),
+    "irrational": (None, _boolean, "treat --location as declared irrational"),
+    "fn": ("fn", lambda v: load_descriptor(_string(v)), "function descriptor file (JSON)"),
+    "jump": ("jump_index", _integer, "jump index inside the descriptor"),
+    "d": ("d", _real, "point value of the default unit step"),
+    "n-max": ("n_max", _integer, "orders n run up to n-max (>= 64)"),
+    "stride": ("stride", _integer, "step between orders"),
+    "gap": ("gap", _real, "gap that separates clusters"),
+    "tail-fraction": ("tail_fraction", _real, "share of the last orders clustered"),
+    "value-tol": ("value_tol", _real, "atom value tolerance"),
+    "index-tol": ("index_tol", _real, "atom index tolerance"),
+    "ks-tol": ("ks_tol", _real, "KS distance tolerance"),
+    "eps-grid": ("eps_grid", _reals, None),
+    "index-floor": ("index_floor", _real, None),
+    "format": (None, _string, "csv or json"),
+    "out": (None, _string, "output path"),
 }
 
 
-def _converted(opts, flag: str, convert):
-    """convert(opts[flag]); a value it cannot take is a ConfigError."""
-    try:
-        return convert(opts[flag])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{flag}: {exc!r}") from exc
-
-
-def _merged_options(args) -> dict:
-    flags = {key.replace("_", "-") for key in vars(args)} - {"config", "command", "func"}
-    opts: dict = {}
-    if args.config:
-        with open(args.config) as fh:
-            try:
-                config = json.load(fh)
-            except ValueError as exc:
-                raise ConfigError(f"config: {exc}") from exc
-        if not isinstance(config, dict):
-            raise ConfigError("config: must be a JSON object")
-        unknown = sorted(set(config) - flags - set(_FIELDS))
-        if unknown:
-            raise ConfigError(f"config: unknown keys {unknown}")
-        opts.update(config)
-    for key, value in vars(args).items():
-        if key in ("config", "command") or value is None or value is False:
-            continue
-        opts[key.replace("_", "-")] = value
-    return opts
-
-
-def _rational(opts, num: str, den: str) -> Fraction:
-    if opts.get(num) is None or opts.get(den) is None:
-        raise ConfigError(f"location: both --{num} and --{den} are required")
-    q = _converted(opts, den, int)
-    if q == 0:
-        raise ConfigError(f"{den}: must be nonzero")
-    return Fraction(_converted(opts, num, int), q)
-
-
-def _location_from_options(opts, operator: str):
-    if opts.get("theta-num") is not None or opts.get("theta-den") is not None:
-        if operator != "lagrange":
-            raise ConfigError("location: --theta-num/--theta-den require --operator lagrange")
-        return _rational(opts, "theta-num", "theta-den")
-    if opts.get("x0-num") is not None or opts.get("x0-den") is not None:
-        if operator != "shepard":
-            raise ConfigError("location: --x0-num/--x0-den require --operator shepard")
-        return _rational(opts, "x0-num", "x0-den")
-    if opts.get("location") is not None:
+def _location(opts):
+    """The exact p/q of the operator's num/den pair, or a float declared
+    irrational."""
+    for num, den, operator in (("theta-num", "theta-den", LAGRANGE),
+                               ("x0-num", "x0-den", SHEPARD)):
+        if num in opts or den in opts:
+            if opts["operator"] != operator:
+                raise ConfigError(f"location: --{num}/--{den} require --operator {operator}")
+            if num not in opts or den not in opts:
+                raise ConfigError(f"location: both --{num} and --{den} are required")
+            if opts[den] == 0:
+                raise ConfigError(f"{den}: must be nonzero")
+            return Fraction(opts[num], opts[den])
+    if "location" in opts:
         if not opts.get("irrational"):
-            raise ConfigError(
-                "location: float locations must carry --irrational (use the "
-                "num/den flags for exact rationals)"
-            )
-        return Irrational(_converted(opts, "location", float))
+            raise ConfigError("location: float locations must carry --irrational (use "
+                              "the num/den flags for exact rationals)")
+        return Irrational(opts["location"])
     raise ConfigError("location: one of --theta-num/--theta-den, --x0-num/--x0-den, "
                       "or --location --irrational is required")
 
 
-def _config_from_options(opts) -> ExperimentConfig:
-    if opts.get("operator") is None:
+def _experiment(args) -> tuple[dict, ExperimentConfig]:
+    """The --config values under the flags given, each through its table
+    converter, and the ExperimentConfig they describe."""
+    raw: dict = {}
+    if args.config:
+        with open(args.config) as fh:
+            try:
+                raw = json.load(fh)
+            except ValueError as exc:
+                raise ConfigError(f"config: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ConfigError("config: must be a JSON object")
+        unknown = sorted(set(raw) - set(_TABLE))
+        if unknown:
+            raise ConfigError(f"config: unknown keys {unknown}")
+    raw.update((k, v) for k, v in vars(args).items() if k in _TABLE and v is not None)
+    opts = {}
+    for key, value in raw.items():
+        if value is not None:  # a descriptor that lacks a key raises KeyError
+            try:
+                opts[key] = _TABLE[key][1](value)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ConfigError(f"{key}: {exc!r}") from exc
+    if "operator" not in opts:
         raise ConfigError("operator: required")
-    kwargs = {
-        field: _converted(opts, flag, convert)
-        for flag, (field, convert) in _FIELDS.items()
-        if opts.get(flag) is not None
-    }
-    location = _location_from_options(opts, kwargs["operator"])
-    return ExperimentConfig(location=location, **kwargs)
+    fields = {field: opts[key] for key, (field, _, _) in _TABLE.items()
+              if field is not None and key in opts}
+    return opts, ExperimentConfig(location=_location(opts), **fields)
 
 
 def _cmd_run(args) -> int:
-    opts = _merged_options(args)
-    cfg = _config_from_options(opts)
+    opts, cfg = _experiment(args)
     fmt = opts.get("format", "csv")
     out = opts.get("out")
     if out is None:
@@ -187,8 +174,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    opts = _merged_options(args)
-    cfg = _config_from_options(opts)
+    opts, cfg = _experiment(args)
     report: ComparisonReport = compare(cfg)
     out = opts.get("out")
     if out:
@@ -204,8 +190,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    opts = _merged_options(args)
-    cfg = _config_from_options(opts)
+    opts, cfg = _experiment(args)
     spectrum = predict(cfg)
     text = json.dumps(spectrum.to_dict(), indent=2)
     if opts.get("out"):
@@ -252,8 +237,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn in (("run", _cmd_run), ("compare", _cmd_compare), ("predict", _cmd_predict)):
         p = sub.add_parser(name)
-        _add_experiment_flags(p)
         p.set_defaults(func=fn)
+        p.add_argument("--config", help="JSON file with default flag values")
+        for key, (_, convert, help_text) in _TABLE.items():
+            if help_text is not None:
+                switch = {"action": "store_true"} if convert is _boolean else {}
+                p.add_argument(f"--{key}", dest=key, default=None, help=help_text, **switch)
     pz = sub.add_parser("zeta", help="ad-hoc special function evaluation")
     pz.add_argument("--kind", choices=["zeta", "j", "g", "gs"], required=True)
     pz.add_argument("--s", type=float, default=2.0)
@@ -266,19 +255,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ProfileMonotonicityError as exc:
         print(f"numeric precondition failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except OSError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except Exception:  # the CLI's boundary: report the fault with its traceback
+        print(f"internal fault:\n{traceback.format_exc()}", end="", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

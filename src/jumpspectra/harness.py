@@ -112,6 +112,10 @@ class ExperimentConfig:
         # require a genuine interior discontinuity
         if not 0 < self.location_ratio() < 1:
             raise ConfigError("location: the ratio (theta0/pi or x0) must lie in (0, 1)")
+        # the default step's jump x0 = cos(pi * ratio) rounds to an end of
+        # [-1, 1] for Lagrange ratios within about 3.4e-9 of 0 or 1
+        if self.fn is None and not -1 < self.x0_float() < 1:
+            raise ConfigError(f"location: the jump x0 = {self.x0_float()!r} is not interior")
         if self.operator == SHEPARD and not SHEPARD_S_MIN <= self.s <= SHEPARD_S_MAX:
             raise ConfigError(
                 f"s: exponent must lie in [{SHEPARD_S_MIN:g}, {SHEPARD_S_MAX:g}]"
@@ -129,8 +133,8 @@ class ExperimentConfig:
             raise ConfigError("n_max: must be >= 64")
         if self.stride < 1:
             raise ConfigError("stride: must be >= 1")
-        if not self.gap > 0:
-            raise ConfigError("gap: must be positive")
+        if not (math.isfinite(self.gap) and self.gap > 0):
+            raise ConfigError("gap: must be finite and positive")
         if not 0 < self.tail_fraction <= 1:
             raise ConfigError("tail_fraction: must be in (0, 1]")
         try:

@@ -4,11 +4,13 @@ import io
 import json
 import math
 from fractions import Fraction
+from itertools import chain
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from jumpspectra import harness, piecewise
+from jumpspectra import cli, harness, piecewise
 from jumpspectra.cli import main
 from jumpspectra.harness import (
     ConfigError,
@@ -194,7 +196,8 @@ class TestValidation:
     @pytest.mark.parametrize(
         "field, value",
         [("gap", 0.0), ("gap", -1.0), ("tail_fraction", 0.0), ("tail_fraction", 1.5),
-         ("eps_grid", ()), ("eps_grid", (0.1, 0.2)), ("eps_grid", (0.1, -0.05))],
+         ("eps_grid", ()), ("eps_grid", (0.1, 0.2)), ("eps_grid", (0.1, -0.05)),
+         ("gap", math.inf)],
     )
     def test_cluster_knobs_checked_at_construction(self, field, value):
         with pytest.raises(ConfigError, match=field):
@@ -211,6 +214,17 @@ class TestValidation:
     def test_numeric_fields_checked_at_construction(self, make, field, value):
         with pytest.raises(ConfigError, match=f"^{field}:"):
             make(**{field: value})
+
+    # cos(pi * ratio) rounds to +-1 for ratios within about 3.4e-9 of 0 or 1;
+    # the check is O(1), where predict at such a q is O(q)
+    @pytest.mark.parametrize(
+        "location",
+        [Fraction(1, 10**9), Fraction(10**9 - 1, 10**9), Irrational(1e-300),
+         Irrational(0.9999999999999)],
+    )
+    def test_lagrange_default_step_must_be_interior(self, location):
+        with pytest.raises(ConfigError, match="^location:"):
+            lagrange_cfg(location=location)
 
     def test_descriptor_domain_must_cover_the_nodes(self):
         f = from_steps(ContinuousPart((0.0,)), [(0.5, 1.0, 0.25)], (0.0, 0.9))
@@ -665,23 +679,36 @@ class TestCli:
     @pytest.mark.parametrize("flags", [["--gap", "-1"], ["--tail-fraction", "0"],
                                        ["--x0-den", "0"], ["--d", "nan"],
                                        ["--value-tol", "-1"], ["--index-tol", "inf"],
-                                       ["--ks-tol", "0"]])
-    def test_bad_flag_value_exit_two(self, flags):
+                                       ["--ks-tol", "0"], ["--gap", "inf"]])
+    def test_bad_flag_value_exit_two(self, capsys, flags):
         argv = ["compare", "--operator", "shepard", "--x0-num", "1", "--x0-den", "3",
                 "--n-max", "100", *flags]
         assert main(argv) == 2
+        assert "config error" in capsys.readouterr().err
 
-    def test_internal_fault_propagates(self, monkeypatch, tmp_path):
-        from jumpspectra import cli
+    # a Lagrange default step whose jump rounds to an end of [-1, 1]
+    @pytest.mark.parametrize("flags", [["--theta-num", "1", "--theta-den", "1000000000"],
+                                       ["--theta-num", "999999999", "--theta-den", "1000000000"],
+                                       ["--location", "1e-300", "--irrational"],
+                                       ["--location", "0.9999999999999", "--irrational"]])
+    def test_jump_at_an_end_exit_two(self, tmp_path, capsys, flags):
+        out = tmp_path / "run.csv"
+        argv = ["run", "--operator", "lagrange", "--n-max", "64", *flags, "--out", str(out)]
+        assert main(argv) == 2
+        assert "config error: location" in capsys.readouterr().err
+        assert not out.exists()
 
+    def test_internal_fault_exit_four(self, monkeypatch, tmp_path, capsys):
         def boom(cfg):
             raise ValueError("internal fault")
 
         monkeypatch.setattr(cli, "run_sequence", boom)
         argv = ["run", "--operator", "lagrange", "--theta-num", "1", "--theta-den", "3",
                 "--n-max", "80", "--out", str(tmp_path / "run.csv")]
-        with pytest.raises(ValueError, match="internal fault"):
-            main(argv)
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert "Traceback (most recent call last)" in err
+        assert "ValueError: internal fault" in err
 
     def test_selftest(self, capsys):
         assert main(["selftest"]) == 0
@@ -740,6 +767,42 @@ class TestCli:
         assert code == 0
         data = json.loads(capsys.readouterr().out)
         assert data["source"] == "shepard_rational"  # flag overrode s=1
+
+    # one value of every key, as a flag and as a config value, must exit alike:
+    # a flag's string and a JSON value take the same converter
+    @pytest.mark.parametrize("key", sorted(cli._TABLE))
+    def test_flag_and_config_value_agree(self, tmp_path, monkeypatch, capsys, key):
+        monkeypatch.chdir(tmp_path)
+        if key.startswith("theta"):
+            base = {"operator": "lagrange", "theta-num": "1", "theta-den": "3"}
+        elif key in ("location", "irrational"):
+            base = {"operator": "shepard", "location": "0.3", "irrational": True}
+        else:
+            base = {"operator": "shepard", "x0-num": "1", "x0-den": "3"}
+        base.update({"n-max": "64", "out": "run.csv"})
+        base.pop(key, None)  # no base n-max: every draw of it is below 64 or refused
+        argv = ["run", *chain.from_iterable(
+            [f"--{k}"] if v is True else [f"--{k}", v] for k, v in base.items())]
+
+        def exit_code(extra):
+            code = main([*argv, *extra])
+            assert code in (0, 1, 2, 3)
+            assert (code == 2) == ("config error" in capsys.readouterr().err)
+            return code
+
+        for value in (0, -1, 1, 1e-300, math.nan, math.inf, 100.7, "many", "false",
+                      True, False):
+            Path("cfg.json").write_text(json.dumps({key: value}))
+            by_config = exit_code(["--config", "cfg.json"])
+            if key == "irrational" and isinstance(value, bool):  # a switch
+                assert exit_code(["--irrational"] if value else []) == by_config
+            elif key in ("eps-grid", "index-floor"):  # no flag
+                assert by_config == 2 or not isinstance(value, (bool, str))
+            elif isinstance(value, bool) or key == "irrational" or (
+                    key in ("operator", "fn", "format", "out") and not isinstance(value, str)):
+                assert by_config == 2, value  # no flag spells it
+            else:
+                assert exit_code([f"--{key}", str(value)]) == by_config, value
 
     def test_fn_descriptor_flag(self, tmp_path, capsys):
         f = from_steps(ContinuousPart((0.0,)), [(0.5, 2.0, 1.3)], (0.0, 1.0))
